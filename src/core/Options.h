@@ -69,15 +69,12 @@ struct PipelineConfig {
   /// deadlock-potential cycles, and certifies acyclic plans; Enforce
   /// additionally repairs cyclic plans (coalescing each cyclic lock set
   /// into one coarser lock) until the re-audit proves acyclicity, and
-  /// hard-fails executions if any feasible cycle survives. Certified
-  /// plans elide the runtime's weak-timeout polling. Off by default
-  /// because certification changes the lock table under Enforce and
-  /// elides revocations tests deliberately provoke.
+  /// hard-fails executions if any feasible cycle survives. The
+  /// certificate is a static result only: record and native runs poll
+  /// weak-lock timeouts the same way under every mode. Off by default
+  /// because Enforce changes the lock table, coalescing away the lock
+  /// cycles that revocation tests deliberately provoke.
   analysis::LockOrderMode LockOrder = analysis::LockOrderMode::Off;
-
-  /// Poll weak-lock timeouts even under a certified plan (the
-  /// bit-identity cross-check records with and without polling).
-  bool ForceWeakPolling = false;
 
   /// Weak-lock revocation threshold (cycles).
   uint64_t WeakLockTimeout = 500'000'000;

@@ -91,11 +91,6 @@ obs::Counter ChimeraPipeline::stageCounter(const char *Stage) const {
       .counter("wall_us");
 }
 
-void ChimeraPipeline::applyObs(rt::MachineOptions &MO) const {
-  MO.Metrics = ObsRegistry.get();
-  MO.Trace = trace();
-}
-
 support::ThreadPool &ChimeraPipeline::pool() const {
   // Built on first use so a pipeline that only compiles never spawns
   // threads.
@@ -409,47 +404,18 @@ void ChimeraPipeline::corruptPlanForTest(
   LockOrderCell.reset();
 }
 
-support::Error ChimeraPipeline::ensureAuditedPlan() {
+support::Expected<const ir::Module *> ChimeraPipeline::auditedModule() {
   if (Config.AuditPlan) {
     const instrument::AuditResult &Result = planAudit();
     if (!Result.ok())
       return Result.Failure.context("plan audit failed");
   }
-  return ensureLockOrder();
-}
-
-support::Error ChimeraPipeline::ensureLockOrder() {
-  if (Config.LockOrder == analysis::LockOrderMode::Off)
-    return support::Error::success();
-  const instrument::LockOrderAuditResult &Result = lockOrderAudit();
-  if (!Result.ok())
-    return Result.Failure.context("lock-order audit failed");
-  return support::Error::success();
-}
-
-void ChimeraPipeline::applyLockOrder(rt::MachineOptions &MO) {
-  MO.ForceWeakPolling = Config.ForceWeakPolling;
-  // Elide only on a validated certificate: the audit stage already ran
-  // (ensureAuditedPlan precedes every instrumented execution), so
-  // Certified here means the recomputed graph agrees with the stamp.
-  MO.ElideWeakPolling = Config.LockOrder != analysis::LockOrderMode::Off &&
-                        lockOrderAudit().Certified;
-}
-
-rt::ExecutionResult ChimeraPipeline::runOriginalNative(
-    uint64_t Seed, rt::ExecutionObserver *Obs) {
-  rt::MachineOptions MO;
-  MO.Mode = rt::ExecMode::Native;
-  MO.NumCores = Config.NumCores;
-  MO.Seed = Seed;
-  MO.Costs = Config.Costs;
-  MO.DispatchBatch = Config.DispatchBatch;
-  MO.QuantumMin = Config.QuantumMin;
-  MO.QuantumMax = Config.QuantumMax;
-  MO.Observer = Obs;
-  applyObs(MO);
-  rt::Machine Machine(*EvalModule, MO);
-  return Machine.run();
+  if (Config.LockOrder != analysis::LockOrderMode::Off) {
+    const instrument::LockOrderAuditResult &Result = lockOrderAudit();
+    if (!Result.ok())
+      return Result.Failure.context("lock-order audit failed");
+  }
+  return &instrumentedModule();
 }
 
 /// An instrumented execution under a plan that fails its audit is
@@ -462,62 +428,55 @@ static rt::ExecutionResult auditFailure(const support::Error &E) {
   return Result;
 }
 
-rt::ExecutionResult ChimeraPipeline::runInstrumentedNative(uint64_t Seed) {
-  if (support::Error E = ensureAuditedPlan())
-    return auditFailure(E);
+rt::ExecutionResult
+ChimeraPipeline::runInstrumented(const rt::MachineOptions &MO) {
+  support::Expected<const ir::Module *> IM = auditedModule();
+  if (!IM)
+    return auditFailure(IM.error());
+  return rt::Machine(**IM, MO).run();
+}
+
+rt::MachineOptions ChimeraPipeline::machineOptions(rt::ExecMode Mode,
+                                                   uint64_t Seed) const {
   rt::MachineOptions MO;
-  MO.Mode = rt::ExecMode::Native;
+  MO.Mode = Mode;
   MO.NumCores = Config.NumCores;
-  MO.Seed = Seed;
+  // Replay must not depend on the seed, so it always gets the same one.
+  MO.Seed = Mode == rt::ExecMode::Replay ? 0xdeadbeef : Seed;
   MO.Costs = Config.Costs;
   MO.DispatchBatch = Config.DispatchBatch;
   MO.QuantumMin = Config.QuantumMin;
   MO.QuantumMax = Config.QuantumMax;
   MO.WeakLockTimeout = Config.WeakLockTimeout;
-  applyLockOrder(MO);
-  applyObs(MO);
-  rt::Machine Machine(instrumentedModule(), MO);
-  return Machine.run();
+  MO.Metrics = ObsRegistry.get();
+  MO.Trace = trace();
+  return MO;
+}
+
+rt::ExecutionResult ChimeraPipeline::runOriginalNative(
+    uint64_t Seed, rt::ExecutionObserver *Obs) {
+  auto MO = machineOptions(rt::ExecMode::Native, Seed);
+  MO.Observer = Obs;
+  return rt::Machine(*EvalModule, MO).run();
+}
+
+rt::ExecutionResult ChimeraPipeline::runInstrumentedNative(uint64_t Seed) {
+  return runInstrumented(machineOptions(rt::ExecMode::Native, Seed));
 }
 
 rt::ExecutionResult ChimeraPipeline::record(uint64_t Seed,
                                             rt::ExecutionObserver *Obs) {
-  if (support::Error E = ensureAuditedPlan())
-    return auditFailure(E);
-  rt::MachineOptions MO;
-  MO.Mode = rt::ExecMode::Record;
-  MO.NumCores = Config.NumCores;
-  MO.Seed = Seed;
-  MO.Costs = Config.Costs;
-  MO.DispatchBatch = Config.DispatchBatch;
-  MO.QuantumMin = Config.QuantumMin;
-  MO.QuantumMax = Config.QuantumMax;
-  MO.WeakLockTimeout = Config.WeakLockTimeout;
+  auto MO = machineOptions(rt::ExecMode::Record, Seed);
   MO.Observer = Obs;
-  applyLockOrder(MO);
-  applyObs(MO);
-  rt::Machine Machine(instrumentedModule(), MO);
-  return Machine.run();
+  return runInstrumented(MO);
 }
 
 rt::ExecutionResult ChimeraPipeline::replay(const rt::ExecutionLog &Log,
                                             rt::ExecutionObserver *Obs) {
-  if (support::Error E = ensureAuditedPlan())
-    return auditFailure(E);
-  rt::MachineOptions MO;
-  MO.Mode = rt::ExecMode::Replay;
-  MO.NumCores = Config.NumCores;
-  MO.Seed = 0xdeadbeef; // Replay must not depend on the seed.
-  MO.Costs = Config.Costs;
-  MO.DispatchBatch = Config.DispatchBatch;
-  MO.QuantumMin = Config.QuantumMin;
-  MO.QuantumMax = Config.QuantumMax;
-  MO.WeakLockTimeout = Config.WeakLockTimeout;
+  auto MO = machineOptions(rt::ExecMode::Replay, 0);
   MO.ReplayLog = &Log;
   MO.Observer = Obs;
-  applyObs(MO);
-  rt::Machine Machine(instrumentedModule(), MO);
-  return Machine.run();
+  return runInstrumented(MO);
 }
 
 uint64_t ChimeraPipeline::workloadFingerprint() const {
@@ -536,8 +495,10 @@ uint64_t ChimeraPipeline::workloadFingerprint() const {
 support::Expected<rt::ExecutionResult>
 ChimeraPipeline::recordStreamed(const std::string &Path, uint64_t Seed,
                                 rt::ExecutionObserver *Obs) {
-  if (support::Error E = ensureAuditedPlan())
-    return E.context("plan audit failed");
+  // Gate before the writer opens the file: a failed audit leaves none.
+  support::Expected<const ir::Module *> IM = auditedModule();
+  if (!IM)
+    return IM.error().context("plan audit failed");
 
   replay::LogWriter::Options WO;
   WO.SegmentBytes = Config.SegmentBytes;
@@ -546,22 +507,11 @@ ChimeraPipeline::recordStreamed(const std::string &Path, uint64_t Seed,
   WO.Metrics = ObsRegistry.get();
   replay::LogWriter Writer(Path, WO);
 
-  rt::MachineOptions MO;
-  MO.Mode = rt::ExecMode::Record;
-  MO.NumCores = Config.NumCores;
-  MO.Seed = Seed;
-  MO.Costs = Config.Costs;
-  MO.DispatchBatch = Config.DispatchBatch;
-  MO.QuantumMin = Config.QuantumMin;
-  MO.QuantumMax = Config.QuantumMax;
-  MO.WeakLockTimeout = Config.WeakLockTimeout;
+  auto MO = machineOptions(rt::ExecMode::Record, Seed);
   MO.Observer = Obs;
   MO.LogSink = &Writer;
   MO.CheckpointEvery = Config.CheckpointEvery;
-  applyLockOrder(MO);
-  applyObs(MO);
-  rt::Machine Machine(instrumentedModule(), MO);
-  rt::ExecutionResult Result = Machine.run();
+  rt::ExecutionResult Result = rt::Machine(**IM, MO).run();
   if (support::Error E = Writer.finish())
     return E.context("writing " + Path);
   if (!Result.Ok)
@@ -573,43 +523,28 @@ rt::ExecutionResult
 ChimeraPipeline::replayResumed(const rt::ExecutionLog &Log,
                                const rt::MachineSnapshot &Snap,
                                rt::ExecutionObserver *Obs) {
-  if (support::Error E = ensureAuditedPlan())
-    return auditFailure(E);
-  rt::MachineOptions MO;
-  MO.Mode = rt::ExecMode::Replay;
-  MO.NumCores = Config.NumCores;
-  MO.Seed = 0xdeadbeef; // Replay must not depend on the seed.
-  MO.Costs = Config.Costs;
-  MO.DispatchBatch = Config.DispatchBatch;
-  MO.QuantumMin = Config.QuantumMin;
-  MO.QuantumMax = Config.QuantumMax;
-  MO.WeakLockTimeout = Config.WeakLockTimeout;
+  auto MO = machineOptions(rt::ExecMode::Replay, 0);
   MO.ReplayLog = &Log;
   MO.ResumeFrom = &Snap;
   MO.Observer = Obs;
-  applyObs(MO);
-  rt::Machine Machine(instrumentedModule(), MO);
-  return Machine.run();
+  return runInstrumented(MO);
 }
 
 replay::ParallelReplayer::Result
 ChimeraPipeline::replayParallel(replay::LogReader &Reader, unsigned Jobs) {
-  if (support::Error E = ensureAuditedPlan()) {
+  support::Expected<const ir::Module *> IM = auditedModule();
+  if (!IM) {
     replay::ParallelReplayer::Result Res;
-    Res.Exec = auditFailure(E);
+    Res.Exec = auditFailure(IM.error());
     return Res;
   }
   replay::ParallelReplayer::Options PO;
   PO.Jobs = Jobs ? Jobs : Config.ReplayJobs;
   PO.Pool = &pool();
   PO.Metrics = ObsRegistry.get();
-  PO.Machine.NumCores = Config.NumCores;
-  PO.Machine.Costs = Config.Costs;
-  PO.Machine.DispatchBatch = Config.DispatchBatch;
-  PO.Machine.QuantumMin = Config.QuantumMin;
-  PO.Machine.QuantumMax = Config.QuantumMax;
-  PO.Machine.WeakLockTimeout = Config.WeakLockTimeout;
-  return replay::ParallelReplayer::replay(instrumentedModule(), Reader, PO);
+  // Epoch machines override the per-run sinks and the log pointers.
+  PO.Machine = machineOptions(rt::ExecMode::Replay, 0);
+  return replay::ParallelReplayer::replay(**IM, Reader, PO);
 }
 
 ChimeraPipeline::RecordReplayOutcome ChimeraPipeline::recordAndReplay(
@@ -627,8 +562,7 @@ ChimeraPipeline::RecordReplayOutcome ChimeraPipeline::recordAndReplay(
 
 uint64_t ChimeraPipeline::dynamicRaceCount(uint64_t Seed) {
   race::DynamicDetector Detector;
-  rt::ExecutionResult Result = record(Seed, &Detector);
-  assert(Result.Ok && "dynamic race check run failed");
-  (void)Result;
+  if (!record(Seed, &Detector).Ok)
+    return UINT64_MAX;
   return Detector.raceCount();
 }

@@ -124,12 +124,6 @@ public:
   /// caveat as setPlannerOptions.
   void setLockOrderMode(analysis::LockOrderMode Mode);
 
-  /// Toggles forced weak-timeout polling for subsequent executions.
-  /// Purely an execution-time knob (no analysis stage depends on it),
-  /// so nothing is invalidated — tests and benches flip it to compare
-  /// certificate-elided against force-polled runs on one pipeline.
-  void setForceWeakPolling(bool On) { Config.ForceWeakPolling = On; }
-
   /// Test-only hook: mutates the plan right after planning, before
   /// instrumentation and audit, so tests can prove the auditor rejects
   /// corrupted plans. Invalidates the plan and downstream stages.
@@ -193,7 +187,9 @@ public:
 
   /// Runs the dynamic happens-before oracle over a recording of the
   /// instrumented program; returns the number of races it finds (the
-  /// paper's invariant: zero).
+  /// paper's invariant: zero). Returns UINT64_MAX when the recording
+  /// fails (for example on a plan that fails its audit), so a failed
+  /// run never reads as race-free.
   uint64_t dynamicRaceCount(uint64_t Seed);
 
 private:
@@ -231,16 +227,22 @@ private:
 
   const Analyses &analyses() const;
   support::ThreadPool &pool() const;
-  /// success() when audits are disabled or the plan proves out.
-  support::Error ensureAuditedPlan();
-  /// success() when LockOrder is Off or the certificate validates.
-  support::Error ensureLockOrder();
+  /// The audit gate every instrumented execution passes: the
+  /// instrumented module when the plan audit (if Config.AuditPlan) and
+  /// the lock-order audit (unless LockOrder is Off) prove out, else the
+  /// first failure.
+  support::Expected<const ir::Module *> auditedModule();
+  /// Runs the audited instrumented module under \p MO; an audit
+  /// failure becomes the run's result.
+  rt::ExecutionResult runInstrumented(const rt::MachineOptions &MO);
+  /// The one place evaluation executions get their machine options:
+  /// cores, cost model, schedule knobs, weak-lock timeout, and the
+  /// observability sinks, all from Config. Replay ignores \p Seed and
+  /// uses a fixed one (replay must not depend on it).
+  rt::MachineOptions machineOptions(rt::ExecMode Mode, uint64_t Seed) const;
   /// Plan-stage lock-order analysis: analyze, repair under Enforce,
   /// stamp the certificate (see Pipeline.cpp).
   void certifyOrRepair(instrument::InstrumentationPlan &P) const;
-  /// Sets the weak-poll elision fields of \p MO from the lock-order
-  /// verdict (record/native executions only; replay never polls).
-  void applyLockOrder(rt::MachineOptions &MO);
 
   /// Content-hash key covering every input the plan stage consumes
   /// (both modules' printed IR, the profiling environment, cost model,
@@ -262,8 +264,6 @@ private:
   obs::TraceRecorder *trace() const {
     return ObsRegistry ? Config.Trace : nullptr;
   }
-  /// Fills the observability fields of \p MO for an execution.
-  void applyObs(rt::MachineOptions &MO) const;
 
   PipelineConfig Config;
   std::string Tag; ///< From the request; labels errors and metrics.

@@ -383,12 +383,9 @@ ExecutionResult Machine::run() {
       for (unsigned C = 0; C != Opts.NumCores; ++C)
         if (CoreThread[C] >= 0)
           Wake = std::min(Wake, Sched.coreTime(C) + 1);
-      // The timeout rescue is also gated by the certificate: under a
-      // sound one an all-idle weak-lock deadlock is impossible, and
-      // under an unsound one this surfaces as a loud stall error below
-      // rather than a silent (log-diverging) revocation.
-      if (Wake == UINT64_MAX && !isReplay() &&
-          (!Opts.ElideWeakPolling || Opts.ForceWeakPolling)) {
+      // The timeout rescue (paper §2.3) runs for every plan, certified
+      // or not.
+      if (Wake == UINT64_MAX && !isReplay()) {
         // Wake exactly when the beneficiary's wait matures (saturating:
         // an effectively-infinite timeout means no rescue). Its Since
         // resets each time a revocation lets it acquire one more lock
@@ -409,8 +406,7 @@ ExecutionResult Machine::run() {
         break;
       }
       Sched.setCoreTime(Core, std::max(Now + 1, Wake));
-      if (!isReplay() && !M.WeakLocks.empty() &&
-          (!Opts.ElideWeakPolling || Opts.ForceWeakPolling))
+      if (!isReplay() && !M.WeakLocks.empty())
         checkWeakTimeouts(Sched.coreTime(Core));
       continue;
     }
@@ -526,14 +522,11 @@ void Machine::publishObs() {
   }
 
   if (!isReplay()) {
-    // Weak-timeout poll attribution: how many scans ran, how many the
-    // held-gate skipped, and whether certification elided the cadence
-    // for this run entirely.
+    // Weak-timeout poll attribution: how many scans ran and how many
+    // the held-gate skipped.
     obs::Scope Wk = Root.sub("weak");
     Wk.counter("poll").add(ObsWeakPolls);
     Wk.counter("poll_skipped").add(ObsWeakPollsSkipped);
-    if (Opts.ElideWeakPolling && !Opts.ForceWeakPolling)
-      Wk.counter("poll_elided_runs").inc();
   }
 
   obs::Scope SchedS = Root.sub("sched");
@@ -581,11 +574,7 @@ bool Machine::stepCore(unsigned Core) {
     CoreSliceStart[Core] = Sched.coreTime(Core);
   }
 
-  // A validated acyclicity certificate discharges the revocation safety
-  // net statically, so the per-instruction poll cadence is elided
-  // entirely (unless a cross-check force-enables it).
-  const bool PollWeak = !isReplay() && !M.WeakLocks.empty() &&
-                        (!Opts.ElideWeakPolling || Opts.ForceWeakPolling);
+  const bool PollWeak = !isReplay() && !M.WeakLocks.empty();
 
   Thread &T = *Threads[CoreThread[Core]];
   if (Failed) {
@@ -1552,11 +1541,10 @@ bool Machine::checkWeakTimeouts(uint64_t Now) {
   // resolve itself: a holder stalled behind a strong primitive
   // (condvar, mutex, barrier, join — the classic held-across-wait
   // deadlock) or a cycle of weak-lock waits. The walk reads only
-  // simulated scheduler and lock state, so record stays deterministic
-  // — and it is exactly the dynamic mirror of the static lock-order
-  // certificate: instrumented plans never hold a weak-lock across a
-  // strong wait, so with an acyclic certificate no stuck chain can
-  // exist and the poll provably never fires.
+  // simulated scheduler and lock state, so record stays deterministic.
+  // The poll runs whether or not the plan carries a lock-order
+  // certificate: the certificate rules out weak-wait cycles, but says
+  // nothing about a holder that waits by other means.
   //
   // All revocations feed ONE distinguished beneficiary — the lowest-tid
   // stuck weak-waiter — until it stops being stuck. The beneficiary is

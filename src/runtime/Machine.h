@@ -111,21 +111,6 @@ struct MachineOptions {
   /// (overshoot, cursor divergence, thread-count drift) fails the run.
   const MachineSnapshot *StopAt = nullptr;
 
-  /// Record/native mode: the plan carries a validated lock-order
-  /// certificate proving no weak-lock deadlock is possible, so the
-  /// per-instruction weak-timeout polls AND the idle-path timeout
-  /// rescue are skipped entirely (ISSUE 8). Under a sound certificate
-  /// no revocation would have fired either way, so logs stay
-  /// bit-identical; under an unsound one a genuine deadlock surfaces
-  /// as a loud all-idle stall error rather than a silent revocation.
-  /// Replay mode never polls, so this only affects record/native.
-  bool ElideWeakPolling = false;
-
-  /// Test/bench override: poll even when ElideWeakPolling is set (the
-  /// bit-identity cross-check records the same certified plan with and
-  /// without polling and compares logs).
-  bool ForceWeakPolling = false;
-
   /// Observability sinks (both optional, both host-side only).
   ///
   /// Unlike \c Observer, attaching these does NOT disable the execFast

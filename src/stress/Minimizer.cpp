@@ -72,13 +72,9 @@ bool shrinkMhp(TrialCase &C) {
 }
 
 bool shrinkLockOrder(TrialCase &C) {
-  // PollElision is vacuous without certification; its floor is Audit.
-  analysis::LockOrderMode Floor = C.Oracle == OracleKind::PollElision
-                                      ? analysis::LockOrderMode::Audit
-                                      : analysis::LockOrderMode::Off;
-  if (C.Config.LockOrder == Floor)
+  if (C.Config.LockOrder == analysis::LockOrderMode::Off)
     return false;
-  C.Config.LockOrder = Floor;
+  C.Config.LockOrder = analysis::LockOrderMode::Off;
   return true;
 }
 

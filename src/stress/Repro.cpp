@@ -72,7 +72,6 @@ std::string stress::formatRepro(const TrialCase &Case) {
   emit(Out, "summary-cache", uint64_t(Cfg.UseSummaryCache));
   emit(Out, "mhp", analysis::mhpModeName(Cfg.Mhp));
   emit(Out, "lock-order", analysis::lockOrderModeName(Cfg.LockOrder));
-  emit(Out, "force-weak-polling", uint64_t(Cfg.ForceWeakPolling));
   emit(Out, "weak-lock-timeout", Cfg.WeakLockTimeout);
   emit(Out, "quantum-min", Cfg.QuantumMin);
   emit(Out, "quantum-max", Cfg.QuantumMax);
@@ -201,11 +200,6 @@ support::Expected<TrialCase> stress::parseRepro(const std::string &Text) {
       if (!M)
         return M.error();
       Case.Config.LockOrder = *M;
-    } else if (Key == "force-weak-polling") {
-      auto V = U64();
-      if (!V)
-        return V.error();
-      Case.Config.ForceWeakPolling = *V != 0;
     } else if (Key == "weak-lock-timeout") {
       auto V = U64();
       if (!V)

@@ -62,9 +62,6 @@ enum class OracleKind {
   /// replayParallel(jobs) is bit-identical to sequential recovery +
   /// replay: state, output, and merged log bytes.
   ParallelReplay,
-  /// Under a lock-order-certified plan, recording with weak-timeout
-  /// polling elided and with polling forced yields byte-identical logs.
-  PollElision,
   /// A plan recomputed cold, a plan hit warm in an ArtifactCache, and a
   /// plan decoded from serialized cache bytes are fingerprint-identical
   /// and drive byte-identical recordings.

@@ -29,11 +29,11 @@ using namespace chimera::stress;
 
 const std::vector<OracleKind> &stress::allOracles() {
   static const std::vector<OracleKind> All = {
-      OracleKind::RecordReplay,  OracleKind::StreamedLog,
-      OracleKind::ParallelReplay, OracleKind::PollElision,
-      OracleKind::CacheWarmCold, OracleKind::ObsInert,
-      OracleKind::LogFault,      OracleKind::CacheFault,
-      OracleKind::BatchInvariance, OracleKind::ReplayPerturbed,
+      OracleKind::RecordReplay,    OracleKind::StreamedLog,
+      OracleKind::ParallelReplay,  OracleKind::CacheWarmCold,
+      OracleKind::ObsInert,        OracleKind::LogFault,
+      OracleKind::CacheFault,      OracleKind::BatchInvariance,
+      OracleKind::ReplayPerturbed,
   };
   return All;
 }
@@ -46,8 +46,6 @@ const char *stress::oracleName(OracleKind Kind) {
     return "streamed-log";
   case OracleKind::ParallelReplay:
     return "parallel-replay";
-  case OracleKind::PollElision:
-    return "poll-elision";
   case OracleKind::CacheWarmCold:
     return "cache-warm-cold";
   case OracleKind::ObsInert:
@@ -115,7 +113,7 @@ std::string stress::failureClass(const std::string &Failure) {
 // Small programs chosen for coverage, not realism: pure weak-lock
 // contention, condvar/input traffic across checkpoint boundaries,
 // barrier phases, and a deliberately cross-ordered pair of racy
-// globals (lock-order-cycle material for the PollElision trials).
+// globals (lock-order-cycle material for the Audit/Enforce trials).
 
 namespace {
 
@@ -158,9 +156,9 @@ const char *BarrierPhasesSrc =
 // outer loop body is a guard region for one array whose inner loop
 // opens a nested region for the other, so the planner's weak locks
 // for x and y really are held one-inside-the-other in both orders —
-// cyclic lock-order material, and (under tiny timeouts, when no
-// acyclicity certificate elides the polls) the only catalog source
-// that exercises genuine revocations. The dynamic `k[...]` indices
+// cyclic lock-order material, and (under tiny timeouts, unless
+// Enforce coalesces the cycle away) the only catalog source that
+// exercises genuine revocations. The dynamic `k[...]` indices
 // keep the accesses from folding into per-element locks, and the long
 // outer loops keep profiling seeing the workers concurrent (short
 // loops degrade to one function-covering region, whose entry-ordered
@@ -236,7 +234,7 @@ TrialCase stress::deriveCase(uint64_t BaseSeed, uint64_t Index) {
       OracleKind::RecordReplay,   OracleKind::RecordReplay,
       OracleKind::StreamedLog,    OracleKind::StreamedLog,
       OracleKind::ParallelReplay, OracleKind::ParallelReplay,
-      OracleKind::PollElision,    OracleKind::ObsInert,
+      OracleKind::RecordReplay,   OracleKind::ObsInert,
       OracleKind::LogFault,       OracleKind::LogFault,
       OracleKind::CacheFault,     OracleKind::BatchInvariance,
       OracleKind::ReplayPerturbed, OracleKind::ReplayPerturbed,
@@ -300,16 +298,6 @@ TrialCase stress::deriveCase(uint64_t BaseSeed, uint64_t Index) {
                                              obs::ObsMode::Off,
                                              obs::ObsMode::Sampled,
                                              obs::ObsMode::Full});
-
-  if (C.Oracle == OracleKind::PollElision) {
-    // The elision cross-check's contract holds for certified plans
-    // under the default timeout (certification elides polling because
-    // no revocation can be needed; a tiny timeout would make the
-    // forced-polling run revoke and legitimately diverge).
-    Cfg.LockOrder = Rng.chance(1, 2) ? analysis::LockOrderMode::Audit
-                                     : analysis::LockOrderMode::Enforce;
-    Cfg.WeakLockTimeout = 500'000'000;
-  }
 
   if (C.Oracle == OracleKind::LogFault ||
       C.Oracle == OracleKind::CacheFault) {
@@ -481,27 +469,6 @@ TrialResult oracleParallelReplay(const TrialCase &Case) {
   if (replay::encodeLog(Par.Log) != replay::encodeLog(Recovered.Log))
     return fail("log-divergence: parallel merged log differs from recovery");
   return pass(Seq.StateHash);
-}
-
-TrialResult oraclePollElision(const TrialCase &Case) {
-  core::PipelineConfig Cfg = Case.Config;
-  Cfg.ForceWeakPolling = false;
-  auto P = makePipeline(Case, Cfg);
-  if (!P)
-    return fail("build: " + P.error().message());
-  auto Elided = (*P)->record(Case.Seed);
-  if (!Elided.Ok)
-    return fail("record-error: elided: " + Elided.Error);
-  (*P)->setForceWeakPolling(true);
-  auto Polled = (*P)->record(Case.Seed);
-  if (!Polled.Ok)
-    return fail("record-error: polled: " + Polled.Error);
-  if (Elided.StateHash != Polled.StateHash)
-    return fail("state-divergence: elided=" + hex(Elided.StateHash) +
-                " polled=" + hex(Polled.StateHash));
-  if (replay::encodeLog(Elided.Log) != replay::encodeLog(Polled.Log))
-    return fail("log-divergence: elided/polled logs differ");
-  return pass(Elided.StateHash);
 }
 
 TrialResult oracleCacheWarmCold(const TrialCase &Case) {
@@ -730,8 +697,6 @@ TrialResult stress::runTrial(const TrialCase &Case) {
     return oracleStreamedLog(Case);
   case OracleKind::ParallelReplay:
     return oracleParallelReplay(Case);
-  case OracleKind::PollElision:
-    return oraclePollElision(Case);
   case OracleKind::CacheWarmCold:
     return oracleCacheWarmCold(Case);
   case OracleKind::ObsInert:

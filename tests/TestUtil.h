@@ -16,6 +16,7 @@
 
 #include "codegen/CodeGen.h"
 #include "race/SummaryCache.h"
+#include "runtime/Machine.h"
 #include "support/Metrics.h"
 #include "workloads/Workloads.h"
 
@@ -34,6 +35,30 @@ compileOrNull(const std::string &Source, const std::string &Name = "t") {
   auto M = compileMiniCEx(Source, Name);
   EXPECT_TRUE(M.hasValue()) << (M ? "" : M.error().message());
   return M ? M.take() : nullptr;
+}
+
+/// Records \p M on a bare rt::Machine (no pipeline, no audit).
+inline rt::ExecutionResult recordRun(const ir::Module &M, uint64_t Seed,
+                                     unsigned NumCores = 4) {
+  rt::MachineOptions MO;
+  MO.Mode = rt::ExecMode::Record;
+  MO.Seed = Seed;
+  MO.NumCores = NumCores;
+  return rt::Machine(M, MO).run();
+}
+
+/// Replays \p Log against \p M on a bare rt::Machine. \p Seed only
+/// exists so tests can show replay ignores it.
+inline rt::ExecutionResult replayRun(const ir::Module &M,
+                                     const rt::ExecutionLog &Log,
+                                     unsigned NumCores = 4,
+                                     uint64_t Seed = 1) {
+  rt::MachineOptions MO;
+  MO.Mode = rt::ExecMode::Replay;
+  MO.Seed = Seed;
+  MO.NumCores = NumCores;
+  MO.ReplayLog = &Log;
+  return rt::Machine(M, MO).run();
 }
 
 /// Builds a workload pipeline; fails the test and returns null on

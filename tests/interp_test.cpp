@@ -76,6 +76,22 @@ struct OpCase {
   int64_t Expected;
 };
 
+// CTest names each discovered case after its printed parameter, so print
+// a stable mnemonic (e.g. `div_-7_2`) rather than gtest's default byte
+// dump, which embeds the address of `Spelling` and changes every run.
+void PrintTo(const OpCase &C, std::ostream *OS) {
+  static const std::pair<std::string, const char *> Names[] = {
+      {"+", "add"}, {"-", "sub"}, {"*", "mul"},  {"/", "div"},
+      {"%", "rem"}, {"&", "and"}, {"|", "or"},   {"^", "xor"},
+      {"<<", "shl"}, {">>", "shr"}, {"<", "lt"}, {"<=", "le"},
+      {">", "gt"},  {">=", "ge"}, {"==", "eq"},  {"!=", "ne"}};
+  const char *Name = C.Spelling;
+  for (const auto &[Spelling, Mnemonic] : Names)
+    if (Spelling == C.Spelling)
+      Name = Mnemonic;
+  *OS << Name << '_' << C.A << '_' << C.B;
+}
+
 class BinaryOpSemantics : public ::testing::TestWithParam<OpCase> {};
 
 TEST_P(BinaryOpSemantics, MatchesHost) {

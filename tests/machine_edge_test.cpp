@@ -2,8 +2,6 @@
 
 #include "TestUtil.h"
 #include "codegen/CodeGen.h"
-#include "replay/Recorder.h"
-#include "replay/Replayer.h"
 #include "runtime/Machine.h"
 #include "runtime/Memory.h"
 
@@ -151,7 +149,7 @@ TEST(MachineEdge, RecordCountsEveryOrderedEvent) {
                    "void w() { lock(m); unlock(m); }\n"
                    "int main() { tids[0] = spawn(w); tids[1] = spawn(w); "
                    "join(tids[0]); join(tids[1]); output(1); return 0; }");
-  auto R = replay::recordExecution(*M, 5);
+  auto R = test::recordRun(*M, 5);
   ASSERT_TRUE(R.Ok);
   // 4 mutex ops + 2 spawns + 2 joins + 1 output.
   EXPECT_EQ(R.Log.totalOrderedEvents(), 9u);
@@ -220,9 +218,9 @@ TEST(MachineEdge, SingleCoreStillCorrect) {
 
 TEST(MachineEdge, EmptyLogReplaysEmptyishProgram) {
   auto M = compile("int main() { int x = 2 + 3; return x; }");
-  auto Rec = replay::recordExecution(*M, 1);
+  auto Rec = test::recordRun(*M, 1);
   ASSERT_TRUE(Rec.Ok);
-  auto Rep = replay::replayExecution(*M, Rec.Log);
+  auto Rep = test::replayRun(*M, Rec.Log);
   ASSERT_TRUE(Rep.Ok) << Rep.Error;
   EXPECT_EQ(Rep.StateHash, Rec.StateHash);
 }
@@ -234,9 +232,9 @@ TEST(MachineEdge, ReplayConsumesAllGates) {
                    "int main() { tids[0] = spawn(w, 40); "
                    "tids[1] = spawn(w, 40); join(tids[0]); join(tids[1]); "
                    "output(c); return 0; }");
-  auto Rec = replay::recordExecution(*M, 6);
+  auto Rec = test::recordRun(*M, 6);
   ASSERT_TRUE(Rec.Ok);
-  auto Rep = replay::replayExecution(*M, Rec.Log);
+  auto Rep = test::replayRun(*M, Rec.Log);
   ASSERT_TRUE(Rep.Ok) << Rep.Error;
   // Same op counts in both directions (nothing dropped or duplicated).
   EXPECT_EQ(Rep.Stats.SyncOps, Rec.Stats.SyncOps);
@@ -289,9 +287,9 @@ TEST(MachineEdge, OutputOrderIsGatedInReplay) {
                    "int main() { tids[0] = spawn(w, 1); "
                    "tids[1] = spawn(w, 2); join(tids[0]); join(tids[1]); "
                    "return 0; }");
-  auto Rec = replay::recordExecution(*M, 123);
+  auto Rec = test::recordRun(*M, 123);
   ASSERT_TRUE(Rec.Ok);
-  auto Rep = replay::replayExecution(*M, Rec.Log);
+  auto Rep = test::replayRun(*M, Rec.Log);
   ASSERT_TRUE(Rep.Ok) << Rep.Error;
   EXPECT_EQ(Rep.Output, Rec.Output) << "interleaved output order pinned";
 }

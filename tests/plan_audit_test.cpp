@@ -69,6 +69,8 @@ TEST(PlanAudit, RejectsPlanWithDroppedGuards) {
   core::ChimeraPipeline::RecordReplayOutcome Outcome =
       (*P)->recordAndReplay(1);
   EXPECT_FALSE(Outcome.Deterministic);
+  // A failed recording must not read as race-free.
+  EXPECT_NE((*P)->dynamicRaceCount(1), 0u);
 }
 
 TEST(PlanAudit, RejectsGranularityMismatch) {

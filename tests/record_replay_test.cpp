@@ -3,12 +3,9 @@
 #include "TestUtil.h"
 #include "codegen/CodeGen.h"
 #include "core/Pipeline.h"
-#include "replay/DeterminismChecker.h"
 #include "replay/LogCodec.h"
 #include "replay/LogReader.h"
 #include "replay/LogWriter.h"
-#include "replay/Recorder.h"
-#include "replay/Replayer.h"
 
 #include <gtest/gtest.h>
 
@@ -71,8 +68,7 @@ TEST_P(ReplayDeterminism, RacyProgramReplaysExactly) {
   ASSERT_TRUE(Out.Record.Ok) << Out.Record.Error;
   ASSERT_TRUE(Out.Replay.Ok) << Out.Replay.Error;
   EXPECT_TRUE(Out.Deterministic);
-  auto Verdict = replay::checkDeterminism(Out.Record, Out.Replay);
-  EXPECT_TRUE(Verdict.Deterministic) << Verdict.Reason;
+  EXPECT_EQ(Out.Replay.Output, Out.Record.Output);
 }
 
 TEST_P(ReplayDeterminism, SyncHeavyProgramReplaysExactly) {
@@ -107,8 +103,10 @@ TEST(ReplayDeterminism, ReplayDoesNotDependOnMachineSeed) {
   auto P = pipelineFor(RacyProgram);
   auto Rec = P->record(17);
   ASSERT_TRUE(Rec.Ok);
-  auto A = replay::replayExecution(P->instrumentedModule(), Rec.Log, 8);
-  auto B = replay::replayExecution(P->instrumentedModule(), Rec.Log, 8);
+  auto A = test::replayRun(P->instrumentedModule(), Rec.Log, 8,
+                           /*Seed=*/0xfeedface);
+  auto B = test::replayRun(P->instrumentedModule(), Rec.Log, 8,
+                           /*Seed=*/17);
   ASSERT_TRUE(A.Ok && B.Ok) << A.Error << B.Error;
   EXPECT_EQ(A.StateHash, Rec.StateHash);
   EXPECT_EQ(B.StateHash, Rec.StateHash);
@@ -120,8 +118,8 @@ TEST(ReplayDeterminism, ReplayWorksOnDifferentCoreCount) {
   auto P = pipelineFor(RacyProgram);
   auto Rec = P->record(23);
   ASSERT_TRUE(Rec.Ok);
-  auto Rep = replay::replayExecution(P->instrumentedModule(), Rec.Log,
-                                     /*NumCores=*/2);
+  auto Rep = test::replayRun(P->instrumentedModule(), Rec.Log,
+                             /*NumCores=*/2);
   ASSERT_TRUE(Rep.Ok) << Rep.Error;
   EXPECT_EQ(Rep.StateHash, Rec.StateHash);
 }
@@ -137,9 +135,9 @@ TEST(Divergence, UninstrumentedRacyProgramCanDiverge) {
     auto M = test::compileOrNull(RacyProgram, "racy");
   bool SawDivergence = false;
   for (uint64_t Seed = 1; Seed <= 25 && !SawDivergence; ++Seed) {
-    auto Rec = replay::recordExecution(*M, Seed, 8);
+    auto Rec = test::recordRun(*M, Seed, 8);
     ASSERT_TRUE(Rec.Ok) << Rec.Error;
-    auto Rep = replay::replayExecution(*M, Rec.Log, 8);
+    auto Rep = test::replayRun(*M, Rec.Log, 8);
     SawDivergence = !Rep.Ok || Rep.StateHash != Rec.StateHash;
   }
   EXPECT_TRUE(SawDivergence)
@@ -151,12 +149,12 @@ TEST(Divergence, TruncatedInputLogIsDetected) {
                     "output(input() & 7); return 0; }";
     auto M = test::compileOrNull(Src, "t");
   ASSERT_NE(M, nullptr);
-  auto Rec = replay::recordExecution(*M, 4);
+  auto Rec = test::recordRun(*M, 4);
   ASSERT_TRUE(Rec.Ok);
   rt::ExecutionLog Broken = Rec.Log;
   ASSERT_FALSE(Broken.PerThreadInputs.empty());
   Broken.PerThreadInputs[0].pop_back();
-  auto Rep = replay::replayExecution(*M, Broken, 4);
+  auto Rep = test::replayRun(*M, Broken, 4);
   EXPECT_FALSE(Rep.Ok);
   EXPECT_NE(Rep.Error.find("input log"), std::string::npos);
 }
@@ -169,44 +167,15 @@ TEST(Divergence, CorruptedOrderLogIsDetected) {
       "join(tids[0]); join(tids[1]); output(c); return 0; }";
     auto M = test::compileOrNull(Src, "t");
   ASSERT_NE(M, nullptr);
-  auto Rec = replay::recordExecution(*M, 4);
+  auto Rec = test::recordRun(*M, 4);
   ASSERT_TRUE(Rec.Ok);
   // Swap two mutex events: the order becomes infeasible.
   rt::ExecutionLog Broken = Rec.Log;
   auto &Seq = Broken.PerObject[0];
   ASSERT_GE(Seq.size(), 4u);
   std::swap(Seq[0], Seq[1]);
-  auto Rep = replay::replayExecution(*M, Broken, 4);
+  auto Rep = test::replayRun(*M, Broken, 4);
   EXPECT_FALSE(Rep.Ok);
-}
-
-TEST(DeterminismChecker, ReportsSpecificFailures) {
-  rt::ExecutionResult A, B;
-  A.Ok = true;
-  B.Ok = true;
-  A.StateHash = B.StateHash = 7;
-  A.Output = {1, 2};
-  B.Output = {1, 2};
-  EXPECT_TRUE(replay::checkDeterminism(A, B).Deterministic);
-
-  B.Output = {1, 3};
-  auto V1 = replay::checkDeterminism(A, B);
-  EXPECT_FALSE(V1.Deterministic);
-  EXPECT_NE(V1.Reason.find("index 1"), std::string::npos);
-
-  B.Output = {1};
-  EXPECT_NE(replay::checkDeterminism(A, B).Reason.find("length"),
-            std::string::npos);
-
-  B.Output = {1, 2};
-  B.StateHash = 8;
-  EXPECT_NE(replay::checkDeterminism(A, B).Reason.find("hash"),
-            std::string::npos);
-
-  B.Ok = false;
-  B.Error = "boom";
-  EXPECT_NE(replay::checkDeterminism(A, B).Reason.find("boom"),
-            std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//
@@ -293,7 +262,7 @@ TEST(LogStorage, RoundTrippedLogReplays) {
   auto Rec = P->record(31);
   ASSERT_TRUE(Rec.Ok);
   rt::ExecutionLog Decoded = roundTripThroughStorage(Rec.Log, "codec_replay");
-  auto Rep = replay::replayExecution(P->instrumentedModule(), Decoded, 8);
+  auto Rep = test::replayRun(P->instrumentedModule(), Decoded, 8);
   ASSERT_TRUE(Rep.Ok) << Rep.Error;
   EXPECT_EQ(Rep.StateHash, Rec.StateHash);
 }

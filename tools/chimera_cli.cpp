@@ -501,8 +501,7 @@ int main(int argc, char **argv) {
       }
       std::printf("%s", LO.Report.c_str());
       if (LO.Certified)
-        std::printf("lock-order certificate: valid (weak-timeout polling "
-                    "elided at record time)\n");
+        std::printf("lock-order certificate: valid\n");
     }
     return emitObservability(*Pipeline, Opts, Trace.get()) ? 0 : 1;
   }
