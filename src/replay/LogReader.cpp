@@ -353,14 +353,16 @@ void LogReader::invalidateFooter() {
 }
 
 std::vector<LogReader::CheckpointInfo>
-LogReader::scanCheckpoints(std::vector<rt::MachineSnapshot> *Snaps) const {
+LogReader::scanCheckpoints(const std::vector<size_t> *Keep,
+                           std::vector<rt::MachineSnapshot> *Snaps) const {
   // One pass on a fork: a checkpoint is restorable exactly when next()
   // decoded it, since its delta pages accumulate over every earlier
   // segment. Corruption past the last good checkpoint bounds the list.
   std::vector<CheckpointInfo> Infos;
   LogReader Scan = fork();
   Record R;
-  for (;;) {
+  size_t NextKeep = 0;
+  while (!Keep || NextKeep != Keep->size()) {
     Expected<bool> Got = Scan.next(R);
     if (!Got || !*Got)
       break;
@@ -374,8 +376,10 @@ LogReader::scanCheckpoints(std::vector<rt::MachineSnapshot> *Snaps) const {
     CI.StateHash = R.Snapshot.StateHash;
     CI.LogEventsAtCapture = R.Snapshot.LogEventsAtCapture;
     Infos.push_back(CI);
-    if (Snaps)
+    if (Keep && (*Keep)[NextKeep] == CI.Index) {
       Snaps->push_back(std::move(R.Snapshot));
+      ++NextKeep;
+    }
   }
   return Infos;
 }
@@ -388,7 +392,7 @@ const std::vector<LogReader::CheckpointInfo> &LogReader::checkpoints() {
     for (size_t I = 0; I != FooterEntries.size(); ++I)
       CachedInfos.push_back(infoFromEntry(FooterEntries[I], I));
   } else {
-    CachedInfos = scanCheckpoints(nullptr);
+    CachedInfos = scanCheckpoints();
   }
   InfosValid = true;
   return CachedInfos;
@@ -471,7 +475,8 @@ size_t LogReader::validSegmentPrefixEnd() const {
   return Off;
 }
 
-LogReader::CheckpointChain LogReader::loadCheckpointChain() {
+LogReader::CheckpointChain
+LogReader::loadCheckpointChain(const CheckpointPick &Pick) {
   CheckpointChain Chain;
   if (HaveFooter) {
     // Footer fast path: decode only checkpoint-bearing segments, chain
@@ -484,12 +489,17 @@ LogReader::CheckpointChain LogReader::loadCheckpointChain() {
     // damage, so those checkpoints must never be selected.
     bool Ok = true;
     size_t ValidEnd = validSegmentPrefixEnd();
-    LogReader Scan = fork();
-    std::vector<uint64_t> AccumG, AccumH;
-    for (size_t I = 0; I != FooterEntries.size() && Ok; ++I) {
+    for (size_t I = 0; I != FooterEntries.size(); ++I) {
       CheckpointInfo CI = infoFromEntry(FooterEntries[I], I);
       if (CI.SegmentOffset >= ValidEnd)
         break;
+      Chain.Infos.push_back(CI);
+    }
+    Chain.Picked = Pick(Chain.Infos);
+    size_t NextPick = 0;
+    LogReader Scan = fork();
+    std::vector<uint64_t> AccumG, AccumH;
+    for (const CheckpointInfo &CI : Chain.Infos) {
       Scan.rewind();
       Scan.FileOffset = static_cast<size_t>(CI.SegmentOffset);
       Scan.NextSeq = CI.Seq;
@@ -517,8 +527,11 @@ LogReader::CheckpointChain LogReader::loadCheckpointChain() {
         Ok = false;
         break;
       }
-      Chain.Infos.push_back(CI);
-      Chain.Snapshots.push_back(Snap.take());
+      if (NextPick != Chain.Picked.size() &&
+          Chain.Picked[NextPick] == CI.Index) {
+        Chain.Snapshots.push_back(Snap.take());
+        ++NextPick;
+      }
     }
     if (Ok)
       return Chain;
@@ -526,14 +539,18 @@ LogReader::CheckpointChain LogReader::loadCheckpointChain() {
     Chain = CheckpointChain();
   }
 
-  Chain.Infos = scanCheckpoints(&Chain.Snapshots);
-  CachedInfos = Chain.Infos;
-  InfosValid = true;
+  Chain.Infos = checkpoints();
+  Chain.Picked = Pick(Chain.Infos);
+  scanCheckpoints(&Chain.Picked, &Chain.Snapshots);
   return Chain;
 }
 
 Expected<rt::MachineSnapshot> LogReader::seekToCheckpoint() {
-  CheckpointChain Chain = loadCheckpointChain();
+  CheckpointChain Chain =
+      loadCheckpointChain([](const std::vector<CheckpointInfo> &Infos) {
+        return Infos.empty() ? std::vector<size_t>()
+                             : std::vector<size_t>{Infos.size() - 1};
+      });
   if (Chain.Infos.empty()) {
     rewind();
     return Error::failure("log contains no restorable checkpoint");

@@ -40,6 +40,7 @@
 #include "support/Metrics.h"
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -100,10 +101,16 @@ public:
     uint64_t LogEventsAtCapture = 0;
   };
 
-  /// Every checkpoint with its decoded snapshot, in stream order
-  /// (Snapshots[I] belongs to Infos[I]).
+  /// Chooses, from the validated checkpoint list, the strictly
+  /// increasing indices whose snapshots a caller needs.
+  using CheckpointPick =
+      std::function<std::vector<size_t>(const std::vector<CheckpointInfo> &)>;
+
+  /// Every checkpoint in stream order, with the decoded snapshots of the
+  /// picked ones (Snapshots[I] belongs to Infos[Picked[I]]).
   struct CheckpointChain {
     std::vector<CheckpointInfo> Infos;
+    std::vector<size_t> Picked;
     std::vector<rt::MachineSnapshot> Snapshots;
   };
 
@@ -162,12 +169,15 @@ public:
   /// reach.
   const std::vector<CheckpointInfo> &checkpoints();
 
-  /// checkpoints() plus the decoded snapshot for each entry, validated
-  /// end to end (delta chain, per-snapshot state hash). When the footer
-  /// path fails validation anywhere, the footer is discarded and the
-  /// chain is rebuilt by linear scan, so the result is always
-  /// self-consistent with what sequential recovery would accept.
-  CheckpointChain loadCheckpointChain();
+  /// checkpoints() validated end to end (delta chain, per-snapshot state
+  /// hash), plus the decoded snapshots of the entries \p Pick selects
+  /// from that list. Every delta is decoded in order, but only picked
+  /// snapshots are kept, so memory grows with the picks, not with the
+  /// log's checkpoint count. When the footer path fails validation
+  /// anywhere, the footer is discarded and the chain is rebuilt by
+  /// linear scan (a second scan keeps the picks), so the result is
+  /// always self-consistent with what sequential recovery would accept.
+  CheckpointChain loadCheckpointChain(const CheckpointPick &Pick);
 
   /// Forks an independent cursor positioned on the first record after
   /// checkpoint \p At. The fork shares this reader's (immutable) bytes,
@@ -209,10 +219,12 @@ private:
   /// the delta accumulators from \p Resume when given.
   support::Error positionAfter(const CheckpointInfo &At,
                                const rt::MachineSnapshot *Resume);
-  /// Linear checkpoint scan on a fork (this cursor does not move);
-  /// optionally keeps the decoded snapshots.
+  /// Linear checkpoint scan on a fork (this cursor does not move). With
+  /// \p Keep (strictly increasing indices), appends those checkpoints'
+  /// decoded snapshots to \p Snaps and stops after the last of them.
   std::vector<CheckpointInfo>
-  scanCheckpoints(std::vector<rt::MachineSnapshot> *Snaps) const;
+  scanCheckpoints(const std::vector<size_t> *Keep = nullptr,
+                  std::vector<rt::MachineSnapshot> *Snaps = nullptr) const;
   /// File offset one past the last segment passing every framing + CRC
   /// check — the horizon sequential recovery cannot read beyond. CRC
   /// only, no decompression: failures past an intact CRC would need a

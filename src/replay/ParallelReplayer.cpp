@@ -137,8 +137,7 @@ pickBoundaries(const std::vector<LogReader::CheckpointInfo> &Infos,
 /// totals. Returns false on any mismatch.
 bool mergeFragments(const std::vector<Fragment> &Frags,
                     const LogReader::CheckpointChain &Chain,
-                    const std::vector<size_t> &B, rt::ExecutionLog &Log,
-                    uint64_t &Stitches) {
+                    rt::ExecutionLog &Log, uint64_t &Stitches) {
   size_t K = Frags.size();
   if (Frags[0].Bad || !Frags[0].SawMeta)
     return false;
@@ -170,7 +169,7 @@ bool mergeFragments(const std::vector<Fragment> &Frags,
     if (!Last) {
       // The log prefix merged so far must sit exactly at the boundary
       // snapshot's recorded position.
-      const rt::MachineSnapshot &S = Chain.Snapshots[B[J]];
+      const rt::MachineSnapshot &S = Chain.Snapshots[J];
       if (S.GateCursors.size() != Log.PerObject.size())
         return false;
       for (size_t O = 0; O != Log.PerObject.size(); ++O)
@@ -278,13 +277,17 @@ ParallelReplayer::Result ParallelReplayer::replay(const ir::Module &M,
   }
 
   // Enumerate + decode the checkpoint chain (O(1) via the CIDX footer
-  // when present). No usable boundaries -> the log is one epoch.
-  LogReader::CheckpointChain Chain = Reader.loadCheckpointChain();
+  // when present), keeping only the epoch-boundary snapshots. No usable
+  // boundaries -> the log is one epoch.
+  LogReader::CheckpointChain Chain = Reader.loadCheckpointChain(
+      [Jobs](const std::vector<LogReader::CheckpointInfo> &Infos) {
+        return pickBoundaries(
+            Infos, static_cast<unsigned>(std::min<uint64_t>(
+                       Jobs, static_cast<uint64_t>(Infos.size()) + 1)));
+      });
   size_t N = Chain.Infos.size();
-  unsigned K = static_cast<unsigned>(
-      std::min<uint64_t>(Jobs, static_cast<uint64_t>(N) + 1));
-  std::vector<size_t> B = pickBoundaries(Chain.Infos, K);
-  K = static_cast<unsigned>(B.size()) + 1;
+  const std::vector<size_t> &B = Chain.Picked;
+  unsigned K = static_cast<unsigned>(B.size()) + 1;
   if (K == 1) {
     Result Res = sequentialReplay(M, Reader, Opts, /*FellBack=*/false);
     publishMetrics(Opts.Metrics, Res);
@@ -302,7 +305,7 @@ ParallelReplayer::Result ParallelReplayer::replay(const ir::Module &M,
   Forks.reserve(K - 1);
   for (unsigned J = 1; J != K; ++J) {
     support::Expected<LogReader> C =
-        Reader.openAt(Chain.Infos[B[J - 1]], &Chain.Snapshots[B[J - 1]]);
+        Reader.openAt(Chain.Infos[B[J - 1]], &Chain.Snapshots[J - 1]);
     if (!C) {
       Result Seq = sequentialReplay(M, Reader, Opts, /*FellBack=*/true);
       publishMetrics(Opts.Metrics, Seq);
@@ -329,7 +332,7 @@ ParallelReplayer::Result ParallelReplayer::replay(const ir::Module &M,
 
   // Stitch check #1: fragments concatenate exactly onto the snapshots'
   // recorded log positions.
-  if (!mergeFragments(Frags, Chain, B, Res.Log, Res.StitchChecks)) {
+  if (!mergeFragments(Frags, Chain, Res.Log, Res.StitchChecks)) {
     Result Seq = sequentialReplay(M, Reader, Opts, /*FellBack=*/true);
     publishMetrics(Opts.Metrics, Seq);
     return Seq;
@@ -343,9 +346,9 @@ ParallelReplayer::Result ParallelReplayer::replay(const ir::Module &M,
     uint64_t T0 = nowUs();
     rt::MachineOptions MO = replayOptions(Opts, Res.Log);
     if (J > 0)
-      MO.ResumeFrom = &Chain.Snapshots[B[J - 1]];
+      MO.ResumeFrom = &Chain.Snapshots[J - 1];
     if (J + 1 != K)
-      MO.StopAt = &Chain.Snapshots[B[J]];
+      MO.StopAt = &Chain.Snapshots[J];
     rt::Machine Mach(M, MO);
     Epochs[J] = Mach.run();
     Res.EpochWallUs[J] += nowUs() - T0;
@@ -357,7 +360,7 @@ ParallelReplayer::Result ParallelReplayer::replay(const ir::Module &M,
   for (unsigned J = 0; J != K && Stitched; ++J) {
     if (!Epochs[J].Ok)
       Stitched = false;
-    if (J + 1 != K && Epochs[J].StateHash != Chain.Snapshots[B[J]].StateHash)
+    if (J + 1 != K && Epochs[J].StateHash != Chain.Snapshots[J].StateHash)
       Stitched = false;
     ++Res.StitchChecks;
   }

@@ -233,7 +233,8 @@ Machine::Step Machine::finishFrame(Thread &T, uint64_t RetValue,
 }
 
 Machine::Step Machine::execFast(Thread &T, unsigned Core, uint64_t MaxInsts,
-                                uint64_t StopTime, uint64_t &Retired) {
+                                uint64_t StopTime, uint64_t AttemptStart,
+                                IdlePhase &Phase, uint64_t &Retired) {
   Frame *F = &T.frame();
   const DecodedInst *Insts = F->DFunc->Insts.data();
   uint64_t *Regs = F->Regs.data();
@@ -259,6 +260,8 @@ Machine::Step Machine::execFast(Thread &T, unsigned Core, uint64_t MaxInsts,
 
   uint64_t N = 0; ///< Instructions retired this chunk.
   uint64_t MemOps = 0;
+  IdlePhase P = Phase;
+  uint64_t InstStart = AttemptStart; ///< Clock before this attempt.
   Step Result = Step::Continue;
   bool ThreadDone = false;
   uint64_t FinishNow = 0; ///< Pre-charge time of the finishing Ret.
@@ -429,11 +432,18 @@ Machine::Step Machine::execFast(Thread &T, unsigned Core, uint64_t MaxInsts,
     }
 
     ++N;
+    P.step(InstStart, Time);
+    InstStart = Time;
     if (Time >= StopTime)
       break;
   }
 
 done:
+  // A finishing Ret retires and a fault ends its attempt; a non-fast
+  // opcode is left for the generic dispatcher, which steps it.
+  if (Result != Step::Continue)
+    P.step(InstStart, Time);
+  Phase = P;
   if (!ThreadDone)
     F->Ip = Ip; // The popped frame of a finishing Ret is already gone.
   Retired = N;

@@ -347,6 +347,9 @@ ExecutionResult Machine::run() {
     startThread(M.MainFunction, {}, /*ParentTid=*/0, /*Now=*/0);
 
   while (!Failed && !allFinished()) {
+    if (CollectObs)
+      ++ObsLoopIterations;
+    hopInertIdleCores();
     unsigned Core = Sched.minTimeCore();
     uint64_t Now = Sched.coreTime(Core);
     wakeSleepers(Now);
@@ -354,8 +357,10 @@ ExecutionResult Machine::run() {
     // Periodic checkpoints, taken here because no thread is mid-operation
     // between dispatches; "every N log events" keeps the cadence a
     // function of recorded work, not wall time, so it is deterministic.
-    if (Streaming && Opts.CheckpointEvery &&
-        Stats.LogEvents >= NextCheckpointAt) {
+    // A dispatch batch ends right after the attempt that makes one due,
+    // so this is the first iteration after that attempt for every batch
+    // size.
+    if (checkpointDue()) {
       Opts.LogSink->onCheckpoint(captureSnapshot());
       NextCheckpointAt = Stats.LogEvents + Opts.CheckpointEvery;
     }
@@ -379,6 +384,11 @@ ExecutionResult Machine::run() {
       // The core is idle with nothing runnable: advance its clock to the
       // next event — a sleeper wake, another core's progress, or a
       // weak-lock timeout rescue (paper §2.3's deadlock-breaking case).
+      // Only hops where something can happen get here: a thread became
+      // ready, a sleeper or checkpoint is due, replay applies forced
+      // releases, a weak wait matures, or no core is busy. Every other
+      // hop is taken in bulk by hopInertIdleCores or, inside a batch,
+      // by parking (stepCore).
       uint64_t Wake = nextWakeTime();
       for (unsigned C = 0; C != Opts.NumCores; ++C)
         if (CoreThread[C] >= 0)
@@ -405,6 +415,8 @@ ExecutionResult Machine::run() {
         reportStall();
         break;
       }
+      if (CollectObs)
+        ++ObsIdleHops;
       Sched.setCoreTime(Core, std::max(Now + 1, Wake));
       if (!isReplay() && !M.WeakLocks.empty())
         checkWeakTimeouts(Sched.coreTime(Core));
@@ -523,13 +535,16 @@ void Machine::publishObs() {
 
   if (!isReplay()) {
     // Weak-timeout poll attribution: how many scans ran and how many
-    // the held-gate skipped.
+    // returned at the held or maturity gate.
     obs::Scope Wk = Root.sub("weak");
     Wk.counter("poll").add(ObsWeakPolls);
     Wk.counter("poll_skipped").add(ObsWeakPollsSkipped);
   }
 
   obs::Scope SchedS = Root.sub("sched");
+  SchedS.counter("loop_iterations").add(ObsLoopIterations);
+  SchedS.counter("idle_hops").add(ObsIdleHops);
+  SchedS.counter("dispatch_chunks").add(ObsDispatchChunks);
   SchedS.counter("quanta").add(ObsQuanta);
   SchedS.counter("quantum_cycles_granted").add(ObsQuantumGranted);
   SchedS.counter("quantum_cycles_used").add(ObsQuantumUsed);
@@ -590,14 +605,26 @@ bool Machine::stepCore(unsigned Core) {
 
   // Dispatch a bounded batch of instructions without returning to the
   // main loop. Batching is invisible to the simulation: between
-  // instructions of one batch the only machine state the main loop could
+  // attempts of one batch the only machine state the main loop could
   // act on is (a) another core becoming the minimum-clock core, (b) a
-  // sleeper's wake time arriving, or (c) a replayed machine-side forced
-  // release becoming applicable — other cores' clocks and the sleeper
-  // set cannot change while this thread runs straight-line code. The
-  // batch therefore ends at the first instruction after which (a) or (b)
-  // could hold, and is disabled outright for (c), making every batch
-  // size produce the bit-identical schedule, log, and result.
+  // sleeper's wake time arriving, (c) a replayed machine-side forced
+  // release becoming applicable, (d) a streamed checkpoint falling due,
+  // or (e) an idle core hopping — other cores' clocks and the sleeper
+  // set cannot change while this thread runs. The batch ends at the
+  // first attempt after which (a) or (b) could hold, is disabled
+  // outright for (c), and ends right after the attempt that logs a
+  // checkpoint's event for (d), so every batch size yields the
+  // bit-identical schedule, log, checkpoints, and result.
+  //
+  // (e) is the idle rule. An idle core with nothing to pick up only
+  // ever hops to the lowest busy clock + 1, each time this core's
+  // (clock, index) key passes its own. While nothing can become ready,
+  // no sleeper or checkpoint falls due, replay applies no forced
+  // release, and no weak wait matures, such hops change nothing but the
+  // idle clock, so idle cores one cycle ahead of this core are parked:
+  // they do not bound the batch, and their clocks follow from the
+  // attempt lengths alone (IdlePhase). When the batch ends they are
+  // written back exactly where the per-hop loop would stand.
   uint64_t Batch = HasRevocations ? 1 : Opts.DispatchBatch;
   if (Batch == 0)
     Batch = 1;
@@ -605,12 +632,27 @@ bool Machine::stepCore(unsigned Core) {
   // This core keeps being picked by minTimeCore() while its clock is
   // strictly below every lower-index core's and at most every
   // higher-index core's (ties go to the lowest index).
+  const uint64_t Start = Sched.coreTime(Core);
+  const bool CanPark = Batch > 1 && !Sched.hasReady();
   uint64_t TimeLimit = UINT64_MAX;
+  ParkedCores.clear();
   for (unsigned C = 0; C != Opts.NumCores; ++C) {
     if (C == Core)
       continue;
-    uint64_t Lim = Sched.coreTime(C) + (C > Core ? 1 : 0);
-    TimeLimit = std::min(TimeLimit, Lim);
+    uint64_t Clock = Sched.coreTime(C);
+    if (CanPark && CoreThread[C] < 0 && Clock == Start + 1) {
+      ParkedCores.push_back(C);
+      continue;
+    }
+    TimeLimit = std::min(TimeLimit, Clock + (C > Core ? 1 : 0));
+  }
+  // A parked core's hop to clock + 1 polls weak timeouts there; end the
+  // batch before such a poll could find a matured wait. Waits begun
+  // during the batch block this thread, which ends it anyway.
+  if (PollWeak && !ParkedCores.empty()) {
+    uint64_t Mature = weakMaturity();
+    if (Mature != UINT64_MAX)
+      TimeLimit = std::min(TimeLimit, std::max<uint64_t>(Mature, 1) - 1);
   }
   const uint64_t NextWake = SleepingThreads ? nextWakeTime() : UINT64_MAX;
 
@@ -622,8 +664,9 @@ bool Machine::stepCore(unsigned Core) {
   // pending mutex or reacquisition, and replay-with-revocations forces
   // Batch = 1). The chunk bound keeps every per-attempt observation
   // intact: it never crosses the batch end, a weak-poll tick boundary,
-  // or the instruction budget, and execFast itself stops the moment the
-  // core clock reaches the earliest of TimeLimit/NextWake/slice end.
+  // the instruction budget, or a due checkpoint, and execFast itself
+  // stops the moment the core clock reaches the earliest of
+  // TimeLimit/NextWake/slice end.
   const bool FastPath = Opts.Observer == nullptr;
 
   // Epoch fence: the boundary snapshot pins the retired-instruction
@@ -633,7 +676,10 @@ bool Machine::stepCore(unsigned Core) {
   const uint64_t StopTarget =
       Opts.StopAt ? stopTarget(T.Tid) : UINT64_MAX;
 
+  IdlePhase Phase;
   for (;;) {
+    const uint64_t AttemptStart = Sched.coreTime(Core);
+    bool PhaseDone = false; // execFast steps Phase itself.
     uint64_t Attempts = 1;
     Step S = execPending(T, Core);
     if (S == Step::Continue && T.Instret >= StopTarget)
@@ -647,18 +693,29 @@ bool Machine::stepCore(unsigned Core) {
                               Opts.MaxInstructions + 1 - Stats.Instructions);
         if (StopTarget != UINT64_MAX)
           CountLimit = std::min(CountLimit, StopTarget - T.Instret);
+        // The pending ops logged a checkpoint's event: this attempt, and
+        // with it the batch, ends after one instruction.
+        if (checkpointDue())
+          CountLimit = 1;
         uint64_t StopTime =
             std::min({TimeLimit, NextWake, CoreSliceEnd[Core]});
         uint64_t Retired = 0;
-        S = execFast(T, Core, CountLimit, StopTime, Retired);
-        if (Retired == 0 && S == Step::Continue)
+        S = execFast(T, Core, CountLimit, StopTime, AttemptStart, Phase,
+                     Retired);
+        if (Retired == 0 && S == Step::Continue) {
           S = execInstruction(T, Core); // Non-fast op heads the chunk.
-        else
+        } else {
           Attempts = Retired + (S == Step::Fault ? 1 : 0);
+          PhaseDone = true;
+        }
       } else {
         S = execInstruction(T, Core);
       }
     }
+    if (!PhaseDone)
+      Phase.step(AttemptStart, Sched.coreTime(Core));
+    if (CollectObs)
+      ++ObsDispatchChunks;
 
     bool StayBound = false;
     switch (S) {
@@ -697,25 +754,74 @@ bool Machine::stepCore(unsigned Core) {
       break;
     }
 
+    // A thread made ready here would be picked up by a parked core's
+    // next hop, so it ends the batch like the other observations.
+    const uint64_t Now = Sched.coreTime(Core);
+    bool End = !StayBound || Failed || Attempts >= Batch ||
+               Now >= TimeLimit || Now >= NextWake || checkpointDue() ||
+               (!ParkedCores.empty() && Sched.hasReady());
+    if (End) {
+      // Parked cores go back to where the per-hop loop would stand.
+      for (unsigned C : ParkedCores)
+        Sched.setCoreTime(C,
+                          Phase.LastStart + (C < Core ? 1 : Phase.LastBit));
+      ParkedCores.clear();
+    }
+
     // Weak-timeout polling at the pre-batching cadence: one tick per
     // dispatch attempt, check every 64. The chunk bound above never lets
     // a fast-path chunk cross a tick boundary, so the boundary test here
-    // fires for exactly the attempts it would have pre-batching. A
-    // performed revocation may move another core's clock, so it also
-    // ends the batch.
+    // fires for exactly the attempts it would have pre-batching. Parked
+    // cores are back in place before a poll that can revoke (TimeLimit
+    // ends the batch before any wait matures). A performed revocation
+    // may move another core's clock, so it also ends the batch.
     bool Revoked = false;
     if (PollWeak) {
       WeakCheckTick += Attempts;
       if ((WeakCheckTick & 0x3f) == 0)
-        Revoked = checkWeakTimeouts(Sched.coreTime(Core));
+        Revoked = checkWeakTimeouts(Now);
     }
+    assert((!Revoked || ParkedCores.empty()) && "revoked past parked cores");
 
-    if (!StayBound || Revoked || Failed || Attempts >= Batch ||
-        Sched.coreTime(Core) >= TimeLimit ||
-        Sched.coreTime(Core) >= NextWake)
+    if (End || Revoked)
       return true;
     Batch -= Attempts;
   }
+}
+
+void Machine::hopInertIdleCores() {
+  // The lowest busy (clock, index) key, and whether any idle core is
+  // below it — only those are hopped by the main loop before it.
+  unsigned Busy = Opts.NumCores;
+  for (unsigned C = 0; C != Opts.NumCores; ++C)
+    if (CoreThread[C] >= 0 &&
+        (Busy == Opts.NumCores || Sched.coreTime(C) < Sched.coreTime(Busy)))
+      Busy = C;
+  if (Busy == Opts.NumCores)
+    return;
+  const uint64_t BusyTime = Sched.coreTime(Busy);
+  auto Below = [&](unsigned C) {
+    uint64_t Clock = Sched.coreTime(C);
+    return CoreThread[C] < 0 &&
+           (Clock < BusyTime || (Clock == BusyTime && C < Busy));
+  };
+  bool Any = false;
+  for (unsigned C = 0; C != Opts.NumCores && !Any; ++C)
+    Any = Below(C);
+  if (!Any)
+    return;
+
+  // Each such hop would wake no sleeper (their clocks are at most
+  // BusyTime), bind nothing, take no checkpoint, apply no forced
+  // release, land on BusyTime + 1, and poll there without revoking.
+  const uint64_t To = BusyTime + 1;
+  if (HasRevocations || Sched.hasReady() || checkpointDue() ||
+      (SleepingThreads && nextWakeTime() < To) ||
+      (!isReplay() && !M.WeakLocks.empty() && weakWaitMatured(To)))
+    return;
+  for (unsigned C = 0; C != Opts.NumCores; ++C)
+    if (Below(C))
+      Sched.setCoreTime(C, To);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1521,11 +1627,28 @@ Machine::Step Machine::applyForcedReleases(Thread &V, unsigned Core,
   return Step::Continue;
 }
 
+uint64_t Machine::weakMaturity() const {
+  uint64_t Since = Weak.earliestWaiterSince();
+  if (Since == UINT64_MAX || Opts.WeakLockTimeout >= UINT64_MAX - Since)
+    return UINT64_MAX;
+  return Since + Opts.WeakLockTimeout;
+}
+
+bool Machine::weakWaitMatured(uint64_t Now) const {
+  if (!Weak.anyHeld())
+    return false;
+  uint64_t Mature = weakMaturity();
+  return Mature != UINT64_MAX && Now >= Mature;
+}
+
 bool Machine::checkWeakTimeouts(uint64_t Now) {
-  // A revocation needs a conflicting holder; while nothing is held the
-  // scan cannot find one, so it is skipped outright (the log-preserving
-  // held-gated poll, independent of plan certification).
-  if (!Weak.anyHeld()) {
+  // A revocation needs a conflicting holder and a beneficiary whose wait
+  // has lasted WeakLockTimeout. While nothing is held, or while even the
+  // earliest wait is younger than that (the beneficiary waits no longer
+  // than the earliest waiter), the scan below cannot find a victim, so
+  // it is skipped outright. Both gates read simulated state only and
+  // hold for every plan, certified or not; the result is exact.
+  if (!weakWaitMatured(Now)) {
     if (CollectObs)
       ++ObsWeakPollsSkipped;
     return false;

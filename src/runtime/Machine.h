@@ -74,10 +74,10 @@ struct MachineOptions {
 
   /// Upper bound on instructions dispatched to a core per scheduling
   /// decision. Purely a host-side amortization knob: the batch ends
-  /// early at any point where another core, sleeper wakeup, or slice
-  /// expiry could be observed, so results (hashes, logs, stats) are
-  /// bit-identical for every value; 1 reproduces unbatched dispatch
-  /// instruction for instruction.
+  /// early at any point where another core, sleeper wakeup, slice
+  /// expiry, or due checkpoint could be observed, so results (hashes,
+  /// logs, checkpoints, stats) are bit-identical for every value; 1
+  /// reproduces unbatched dispatch instruction for instruction.
   unsigned DispatchBatch = 64;
 
   /// Hard cap to catch runaway simulations.
@@ -91,9 +91,11 @@ struct MachineOptions {
   /// still built, so results are unchanged by attaching one.
   LogEventSink *LogSink = nullptr;
 
-  /// Record mode with a LogSink: emit a checkpoint roughly every this
-  /// many log events (0 = never). Checkpoints are taken at the top of
-  /// the scheduling loop, where no thread is mid-operation.
+  /// Record mode with a LogSink: emit a checkpoint every this many log
+  /// events (0 = never). A checkpoint is taken at the top of the
+  /// scheduling loop right after the dispatch attempt that logged its
+  /// event, where no thread is mid-operation, so the file does not
+  /// depend on DispatchBatch.
   uint64_t CheckpointEvery = 0;
 
   /// Replay mode: resume from this checkpoint instead of a cold start.
@@ -182,6 +184,24 @@ private:
     Fault,    ///< Machine must stop.
   };
 
+  /// Where the idle cores parked behind a dispatch batch would stand if
+  /// they had hopped after every attempt (see stepCore). Parked cores
+  /// with a lower index than the batch's core sit one cycle past the
+  /// clock before the latest attempt; higher-index ones sit Bit cycles
+  /// past it, where Bit flips on each 1-cycle attempt and resets to 1
+  /// on any longer one.
+  struct IdlePhase {
+    uint64_t LastStart = 0; ///< Core clock before the latest attempt.
+    bool LastBit = true;    ///< Bit before the latest attempt.
+    bool Bit = true;
+    void step(uint64_t From, uint64_t To) {
+      LastStart = From;
+      LastBit = Bit;
+      uint64_t D = To - From;
+      Bit = D == 1 ? !Bit : (D == 0 ? Bit : true);
+    }
+  };
+
   // -- Top-level loop (Machine.cpp).
   void startThread(uint32_t FuncId, const std::vector<uint64_t> &Args,
                    uint32_t ParentTid, uint64_t Now);
@@ -192,6 +212,14 @@ private:
   /// from re-entering it (see the implementation). Returns false when
   /// the core could make no progress.
   bool stepCore(unsigned Core);
+  /// Does in one pass what the main loop's per-hop iterations would do
+  /// when nothing can happen on an idle core: every idle core below the
+  /// lowest busy core's (clock, index) key jumps to that clock + 1.
+  void hopInertIdleCores();
+  /// True when a streamed checkpoint is due at the next loop iteration.
+  bool checkpointDue() const {
+    return NextCheckpointAt && Stats.LogEvents >= NextCheckpointAt;
+  }
   bool wakeSleepers(uint64_t Now);
   uint64_t nextWakeTime() const;
   void fail(const std::string &Message);
@@ -219,8 +247,11 @@ private:
   /// opcode needs the generic path. \p Retired reports the count; state
   /// is written back exactly as if each instruction had been dispatched
   /// individually. Only called when no observer is attached.
+  /// Each retired instruction (and a faulting one) is one dispatch
+  /// attempt for \p Phase; the first attempt began at \p AttemptStart.
   Step execFast(Thread &T, unsigned Core, uint64_t MaxInsts,
-                uint64_t StopTime, uint64_t &Retired);
+                uint64_t StopTime, uint64_t AttemptStart, IdlePhase &Phase,
+                uint64_t &Retired);
   Step execPending(Thread &T, unsigned Core); ///< Revocations/reacquires.
   void advance(Thread &T);          ///< Move past the current instruction.
   uint64_t reg(Thread &T, ir::Reg R) const;
@@ -275,6 +306,12 @@ private:
   /// Returns true when a revocation was performed (it may touch another
   /// core's clock, so a dispatch batch must end).
   bool checkWeakTimeouts(uint64_t Now);
+  /// First clock at which the earliest weak wait has lasted
+  /// WeakLockTimeout (saturating); UINT64_MAX when none ever does.
+  uint64_t weakMaturity() const;
+  /// True when a weak-lock is held and weakMaturity() has passed at
+  /// \p Now — the only case in which checkWeakTimeouts can revoke.
+  bool weakWaitMatured(uint64_t Now) const;
   /// True when thread \p Tid is stalled with no way to make progress on
   /// its own: blocked on a strong primitive, or blocked on a weak-lock
   /// whose obstruction chain (holders and earlier conflicting waiters)
@@ -354,8 +391,10 @@ private:
   unsigned LiveThreads = 0;   ///< Threads not yet Finished (O(1) allFinished).
   uint64_t WeakCheckTick = 0; ///< Weak-timeout cadence (one per instruction).
   /// Next Stats.LogEvents threshold at which a checkpoint is emitted
-  /// (record mode with a sink and CheckpointEvery > 0).
+  /// (record mode with a sink and CheckpointEvery > 0; 0 = never).
   uint64_t NextCheckpointAt = 0;
+  /// Idle cores the current dispatch batch does not bound itself by.
+  std::vector<unsigned> ParkedCores;
   /// Replaying a log that contains revocations: machine-side forced
   /// releases must be re-checked before every instruction, so dispatch
   /// batching is disabled.
@@ -380,7 +419,10 @@ private:
   uint64_t ObsQuanta = 0;
   uint64_t ObsQuantumGranted = 0, ObsQuantumUsed = 0;
   uint64_t ObsWeakPolls = 0;        ///< checkWeakTimeouts scans performed.
-  uint64_t ObsWeakPollsSkipped = 0; ///< Polls skipped (nothing held).
+  uint64_t ObsWeakPollsSkipped = 0; ///< Polls that returned at a gate.
+  uint64_t ObsLoopIterations = 0;   ///< Main scheduling-loop iterations.
+  uint64_t ObsIdleHops = 0;         ///< Iterations that only hop an idle core.
+  uint64_t ObsDispatchChunks = 0;   ///< execFast chunks + generic attempts.
   std::vector<uint64_t> CoreSliceStart; ///< Bind-time clock per core.
 };
 

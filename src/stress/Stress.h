@@ -78,7 +78,8 @@ enum class OracleKind {
   /// bit-identical to a cold one.
   CacheFault,
   /// DispatchBatch (and AnalysisJobs) are pure host-speed knobs:
-  /// changing them changes no recorded byte.
+  /// changing them changes no recorded byte — with CheckpointEvery > 0,
+  /// no byte of the streamed file either.
   BatchInvariance,
   /// A log records under one quantum/DispatchBatch and replays under
   /// another: the replay still reproduces the recorded state hash.

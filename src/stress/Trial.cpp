@@ -629,12 +629,25 @@ TrialResult oracleCacheFault(const TrialCase &Case) {
 }
 
 TrialResult oracleBatchInvariance(const TrialCase &Case) {
+  // With checkpoints on, both sides stream to a file: where a checkpoint
+  // lands must not depend on the batch size either.
+  const bool Streamed = Case.Config.CheckpointEvery > 0;
+  auto Record = [&](core::ChimeraPipeline &P) {
+    if (Streamed)
+      return recordStreamedBytes(P, Case.Seed);
+    StreamedRecording Out;
+    Out.Result = P.record(Case.Seed);
+    if (!Out.Result.Ok)
+      Out.Err = support::Error::failure(Out.Result.Error);
+    return Out;
+  };
+
   auto P1 = makePipeline(Case, Case.Config);
   if (!P1)
     return fail("build: " + P1.error().message());
-  auto R1 = (*P1)->record(Case.Seed);
-  if (!R1.Ok)
-    return fail("record-error: " + R1.Error);
+  auto R1 = Record(**P1);
+  if (R1.Err)
+    return fail("record-error: " + R1.Err.message());
 
   core::PipelineConfig Alt = Case.Config;
   Alt.DispatchBatch = Case.AltDispatchBatch;
@@ -642,21 +655,23 @@ TrialResult oracleBatchInvariance(const TrialCase &Case) {
   auto P2 = makePipeline(Case, Alt);
   if (!P2)
     return fail("build: alt-batch: " + P2.error().message());
-  auto R2 = (*P2)->record(Case.Seed);
-  if (!R2.Ok)
-    return fail("record-error: alt-batch: " + R2.Error);
+  auto R2 = Record(**P2);
+  if (R2.Err)
+    return fail("record-error: alt-batch: " + R2.Err.message());
 
-  if (R1.StateHash != R2.StateHash)
+  if (R1.Result.StateHash != R2.Result.StateHash)
     return fail("state-divergence: batch=" +
                 std::to_string(Case.Config.DispatchBatch) + " hash=" +
-                hex(R1.StateHash) + " batch=" +
+                hex(R1.Result.StateHash) + " batch=" +
                 std::to_string(Case.AltDispatchBatch) + " hash=" +
-                hex(R2.StateHash));
-  if (R1.Output != R2.Output)
+                hex(R2.Result.StateHash));
+  if (R1.Result.Output != R2.Result.Output)
     return fail("output-divergence: DispatchBatch changed program output");
-  if (replay::encodeLog(R1.Log) != replay::encodeLog(R2.Log))
+  if (replay::encodeLog(R1.Result.Log) != replay::encodeLog(R2.Result.Log))
     return fail("log-divergence: DispatchBatch changed the recorded log");
-  return pass(R1.StateHash);
+  if (R1.Bytes != R2.Bytes)
+    return fail("log-divergence: DispatchBatch changed the streamed file");
+  return pass(R1.Result.StateHash);
 }
 
 TrialResult oracleReplayPerturbed(const TrialCase &Case) {

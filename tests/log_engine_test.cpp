@@ -729,7 +729,13 @@ TEST(LogFooter, DamagedChainNeverSelectsUnrestorableCheckpoint) {
   auto RL = Reader->recover();
   ASSERT_FALSE(RL.Complete);
 
-  auto Chain = Reader->loadCheckpointChain();
+  auto Chain = Reader->loadCheckpointChain(
+      [](const std::vector<replay::LogReader::CheckpointInfo> &Infos) {
+        std::vector<size_t> All(Infos.size());
+        for (size_t I = 0; I != All.size(); ++I)
+          All[I] = I;
+        return All;
+      });
   ASSERT_EQ(Chain.Infos.size(), Chain.Snapshots.size());
   EXPECT_EQ(Chain.Infos.size(), RL.CheckpointsMerged)
       << "chain selected checkpoints recovery never reached";
