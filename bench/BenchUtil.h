@@ -5,26 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the table/figure reproduction binaries: pipeline
-/// construction with consistent settings, simple fixed-width table
-/// printing, and geometric means.
+/// Helpers shared by the bench binaries: the fixed seed, run checking,
+/// and fixed-width table rules.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHIMERA_BENCH_BENCHUTIL_H
 #define CHIMERA_BENCH_BENCHUTIL_H
 
-#include "replay/LogReader.h"
 #include "workloads/Workloads.h"
 
-#include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <iterator>
-#include <memory>
-#include <string>
-#include <vector>
+#include <cstdlib>
 
 namespace chimera {
 namespace bench {
@@ -33,18 +25,6 @@ namespace bench {
 /// output is reproducible run-to-run).
 inline const uint64_t BenchSeed = 2012;
 
-inline std::unique_ptr<core::ChimeraPipeline> pipelineFor(
-    workloads::WorkloadKind Kind, unsigned Workers = 4) {
-  auto P = workloads::buildPipelineEx(Kind, Workers);
-  if (!P) {
-    std::fprintf(stderr, "failed to build %s: %s\n",
-                 workloads::workloadInfo(Kind).Name,
-                 P.error().message().c_str());
-    std::exit(1);
-  }
-  return P.take();
-}
-
 inline void requireOk(const rt::ExecutionResult &R, const char *What) {
   if (!R.Ok) {
     std::fprintf(stderr, "%s failed: %s\n", What, R.Error.c_str());
@@ -52,128 +32,10 @@ inline void requireOk(const rt::ExecutionResult &R, const char *What) {
   }
 }
 
-inline double overheadOf(const rt::ExecutionResult &Run,
-                         const rt::ExecutionResult &Native) {
-  return static_cast<double>(Run.Stats.MakespanCycles) /
-         static_cast<double>(Native.Stats.MakespanCycles);
-}
-
-inline double geomean(const std::vector<double> &Values) {
-  double LogSum = 0;
-  for (double V : Values)
-    LogSum += std::log(V);
-  return std::exp(LogSum / static_cast<double>(Values.size()));
-}
-
 inline void hrule(unsigned Width) {
   for (unsigned I = 0; I != Width; ++I)
     std::putchar('-');
   std::putchar('\n');
-}
-
-//===----------------------------------------------------------------------===//
-// Epoch-parallel replay jobs sweep
-//===----------------------------------------------------------------------===//
-
-/// One job count's worth of a replay-jobs sweep.
-struct ReplayJobsPoint {
-  unsigned Jobs = 1;
-  unsigned Epochs = 1;
-  double WallSeconds = 0; ///< Measured end-to-end wall clock.
-  /// Longest single epoch's replay time — the wall clock a host with
-  /// >= Jobs free cores pays, since epochs are independent.
-  double CriticalPathSeconds = 0;
-  double ProjectedSpeedup = 1; ///< Sequential wall / critical path.
-  bool BitIdentical = false;   ///< Same StateHash + output as sequential.
-  bool FellBack = false;       ///< Parallel path bailed to sequential.
-};
-
-/// Sequential baseline plus one point per requested job count.
-struct ReplayJobsSweep {
-  double SequentialSeconds = 0; ///< jobs=1 wall, re-measured per sweep.
-  std::vector<ReplayJobsPoint> Points;
-};
-
-/// Records \p P once through the streaming engine, then replays the file
-/// at each job count in \p JobCounts, checking every result bit-identical
-/// against the jobs=1 replay of the same bytes. Both the measured wall
-/// and the critical-path projection are reported: on a machine with
-/// fewer free cores than jobs the measured number understates the win,
-/// the projection (sequential / slowest epoch) is hardware-independent.
-inline ReplayJobsSweep replayJobsSweep(core::ChimeraPipeline &P,
-                                       const std::string &Name,
-                                       const std::vector<unsigned> &JobCounts) {
-  std::string Path = "/tmp/chimera_bench_" + Name + ".clg";
-  auto Rec = P.recordStreamed(Path, BenchSeed);
-  if (!Rec) {
-    std::fprintf(stderr, "%s: recordStreamed failed: %s\n", Name.c_str(),
-                 Rec.error().message().c_str());
-    std::exit(1);
-  }
-  requireOk(*Rec, "record");
-  std::vector<uint8_t> Bytes;
-  {
-    std::ifstream In(Path, std::ios::binary);
-    Bytes.assign(std::istreambuf_iterator<char>(In),
-                 std::istreambuf_iterator<char>());
-  }
-  std::remove(Path.c_str());
-
-  auto OpenReader = [&Bytes]() {
-    auto R = replay::LogReader::open(Bytes, replay::LogReader::Options());
-    if (!R) {
-      std::fprintf(stderr, "LogReader::open failed: %s\n",
-                   R.error().message().c_str());
-      std::exit(1);
-    }
-    return R.take();
-  };
-  using Clock = std::chrono::steady_clock;
-  auto Seconds = [](Clock::time_point A, Clock::time_point B) {
-    return std::chrono::duration<double>(B - A).count();
-  };
-
-  ReplayJobsSweep Sweep;
-  replay::ParallelReplayer::Result Seq;
-  {
-    auto Reader = OpenReader();
-    auto T0 = Clock::now();
-    Seq = P.replayParallel(Reader, 1);
-    Sweep.SequentialSeconds = Seconds(T0, Clock::now());
-  }
-  requireOk(Seq.Exec, "sequential replay");
-
-  for (unsigned Jobs : JobCounts) {
-    auto Reader = OpenReader();
-    auto T0 = Clock::now();
-    auto Res = P.replayParallel(Reader, Jobs);
-    double Wall = Seconds(T0, Clock::now());
-    requireOk(Res.Exec, "parallel replay");
-
-    ReplayJobsPoint Pt;
-    Pt.Jobs = Jobs;
-    Pt.Epochs = Res.Epochs;
-    Pt.WallSeconds = Wall;
-    uint64_t MaxUs = 0;
-    for (uint64_t Us : Res.EpochWallUs)
-      MaxUs = std::max(MaxUs, Us);
-    Pt.CriticalPathSeconds =
-        Res.EpochWallUs.empty() ? Wall : double(MaxUs) / 1e6;
-    Pt.ProjectedSpeedup = Pt.CriticalPathSeconds > 0
-                              ? Sweep.SequentialSeconds / Pt.CriticalPathSeconds
-                              : 1.0;
-    Pt.BitIdentical = Res.Exec.StateHash == Seq.Exec.StateHash &&
-                      Res.Exec.Output == Seq.Exec.Output &&
-                      Res.Exec.Ok == Seq.Exec.Ok;
-    Pt.FellBack = Res.FellBackSequential;
-    if (!Pt.BitIdentical) {
-      std::fprintf(stderr, "%s: jobs=%u replay diverged from sequential\n",
-                   Name.c_str(), Jobs);
-      std::exit(1);
-    }
-    Sweep.Points.push_back(Pt);
-  }
-  return Sweep;
 }
 
 } // namespace bench

@@ -157,12 +157,6 @@ std::vector<WeakRequest> WeakLockManager::grantWaiters(uint32_t LockId,
   return Granted;
 }
 
-WeakLockManager::Timeout WeakLockManager::findTimeout(uint64_t Now,
-                                                      uint64_t TimeoutCycles)
-    const {
-  return findTimeoutIf(Now, TimeoutCycles, [](uint32_t) { return true; });
-}
-
 size_t WeakLockManager::numHolders(uint32_t LockId) const {
   assert(LockId < Locks.size() && "lock id out of range");
   return Locks[LockId].Holders.size();

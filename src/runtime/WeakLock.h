@@ -73,54 +73,14 @@ public:
   /// and records them as holders. Returns the granted requests in order.
   std::vector<WeakRequest> grantWaiters(uint32_t LockId, uint64_t Now);
 
-  /// A revocation opportunity: the oldest waiter stalled longer than
-  /// \p Timeout and the holder blocking it.
+  /// A revocation opportunity: a waiter stalled at least the timeout
+  /// and the holder blocking it.
   struct Timeout {
     bool Found = false;
     uint32_t LockId = 0;
     uint32_t VictimTid = 0; ///< Holder to preempt.
     uint32_t WaiterTid = 0; ///< Stalled thread.
   };
-
-  /// Scans for a timed-out waiter (cheap linear scan; lock counts are
-  /// small). Returns the first one found.
-  Timeout findTimeout(uint64_t Now, uint64_t Timeout) const;
-
-  /// Like findTimeout, but only holders for which \p VictimEligible
-  /// returns true qualify as revocation victims. The machine passes
-  /// "the holder itself cannot make progress": revocation exists to
-  /// break stalled ownership chains (paper §2.3 times out instead of
-  /// deadlocking), not to preempt a holder that is still running its
-  /// critical section — a running holder releases on its own, so
-  /// skipping it preserves liveness while avoiding spurious
-  /// revocations under tiny timeouts.
-  template <typename PredT>
-  Timeout findTimeoutIf(uint64_t Now, uint64_t TimeoutCycles,
-                        PredT &&VictimEligible) const {
-    Timeout Result;
-    if (!TotalWaiters)
-      return Result;
-    for (uint32_t LockId = 0; LockId != Locks.size(); ++LockId) {
-      const LockState &L = Locks[LockId];
-      if (L.Waiters.empty())
-        continue;
-      const WeakRequest &Oldest = L.Waiters.front();
-      if (Now < Oldest.Since || Now - Oldest.Since < TimeoutCycles)
-        continue;
-      for (const WeakRequest &H : L.Holders) {
-        if (!conflicts(H, Oldest.HasRange, Oldest.Lo, Oldest.Hi))
-          continue;
-        if (!VictimEligible(H.Tid))
-          continue;
-        Result.Found = true;
-        Result.LockId = LockId;
-        Result.VictimTid = H.Tid;
-        Result.WaiterTid = Oldest.Tid;
-        return Result;
-      }
-    }
-    return Result;
-  }
 
   /// Victim search for one designated beneficiary: \p WaiterTid's queued
   /// request on \p LockId must have stalled at least \p TimeoutCycles,
@@ -217,10 +177,9 @@ public:
     return UINT64_MAX;
   }
 
-  /// True when any thread holds any weak-lock. findTimeout() needs a
+  /// True when any thread holds any weak-lock. findVictimFor() needs a
   /// conflicting *holder* to revoke, so polls while nothing is held can
-  /// be skipped without changing any outcome (satellite: held-gated
-  /// polling, independent of plan certification).
+  /// be skipped without changing any outcome.
   bool anyHeld() const { return TotalHolders != 0; }
 
   /// The holder entry for (LockId, Tid); null if absent.

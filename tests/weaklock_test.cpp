@@ -91,13 +91,18 @@ TEST(WeakLockManager, FindTimeoutIdentifiesVictim) {
   WL.init(2);
   ASSERT_TRUE(WL.tryAcquire(1, {7, false, 0, 0, 100, 0}));
   WL.enqueue(1, {8, false, 0, 0, 200, 0});
-  auto TO = WL.findTimeout(/*Now=*/100000, /*Timeout=*/50000);
+  auto Always = [](uint32_t) { return true; };
+  auto TO = WL.findVictimFor(1, 8, /*Now=*/100000, /*Timeout=*/50000, Always);
   ASSERT_TRUE(TO.Found);
   EXPECT_EQ(TO.LockId, 1u);
   EXPECT_EQ(TO.VictimTid, 7u);
   EXPECT_EQ(TO.WaiterTid, 8u);
   // Not yet timed out.
-  EXPECT_FALSE(WL.findTimeout(200 + 49999, 50000).Found);
+  EXPECT_FALSE(WL.findVictimFor(1, 8, 200 + 49999, 50000, Always).Found);
+  // Timed out, but the only conflicting holder is not an eligible victim.
+  EXPECT_FALSE(
+      WL.findVictimFor(1, 8, 100000, 50000, [](uint32_t) { return false; })
+          .Found);
 }
 
 TEST(WeakLockManager, HolderLookup) {
