@@ -46,8 +46,8 @@ struct PipelineConfig {
   /// 1 = fully serial. Results are identical for every value.
   unsigned AnalysisJobs = 0;
 
-  /// Consult the process-wide race::SummaryCache so repeated pipeline
-  /// builds over identical source skip RELAY's dataflow.
+  /// Ignored: RELAY always computes its summaries. Kept only for
+  /// perfbench/, which still sets it.
   bool UseSummaryCache = true;
 
   instrument::PlannerOptions Planner = instrument::PlannerOptions::full();

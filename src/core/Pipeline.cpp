@@ -6,7 +6,6 @@
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "profile/Profiler.h"
-#include "race/SummaryCache.h"
 #include "replay/LogWriter.h"
 #include "service/ArtifactCache.h"
 #include "support/Hash.h"
@@ -124,17 +123,12 @@ const race::RaceReport &ChimeraPipeline::raceReport() const {
     const analysis::MayHappenInParallel &Mhp = mhp();
     obs::ScopedTimer T(stageCounter("relay"));
     CHIMERA_TRACE_SPAN(trace(), "pipeline.relay");
-    race::SummaryCache *Cache =
-        Config.UseSummaryCache ? &race::SummaryCache::global() : nullptr;
     race::RelayDetector Detector(*EvalModule, A.CG, A.PT, A.Escape, &pool(),
-                                 Cache, &Mhp);
+                                 &Mhp);
     auto Report = std::make_unique<race::RaceReport>(Detector.detect());
     // Published here (not in an accessor) so one registry snapshot after
     // any instrumented run already carries the MHP precision numbers.
-    obs::Scope PipeScope(ObsRegistry.get(), "pipeline");
-    Report->publishTo(PipeScope.sub("mhp"));
-    if (Cache)
-      Cache->publishTo(PipeScope.sub("relay").sub("cache"));
+    Report->publishTo(obs::Scope(ObsRegistry.get(), "pipeline").sub("mhp"));
     return Report;
   });
 }

@@ -2,9 +2,6 @@
 
 #include "race/RelayDetector.h"
 
-#include "ir/Printer.h"
-#include "race/SummaryCache.h"
-#include "support/Hash.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -84,10 +81,9 @@ void RaceReport::publishTo(const obs::Scope &Scope) const {
 RelayDetector::RelayDetector(const Module &M, const analysis::CallGraph &CG,
                              const analysis::PointsTo &PT,
                              const analysis::EscapeAnalysis &Escape,
-                             support::ThreadPool *Pool, SummaryCache *Cache,
+                             support::ThreadPool *Pool,
                              const analysis::MayHappenInParallel *Mhp)
-    : M(M), CG(CG), PT(PT), Escape(Escape), Pool(Pool), Cache(Cache),
-      Mhp(Mhp) {}
+    : M(M), CG(CG), PT(PT), Escape(Escape), Pool(Pool), Mhp(Mhp) {}
 
 namespace {
 
@@ -272,33 +268,13 @@ FunctionSummary RelayDetector::summarizeFunction(uint32_t FuncId) {
   return Summary;
 }
 
-uint64_t RelayDetector::summaryKey(uint32_t FuncId) const {
-  Hasher H;
-  H.addWord(ModuleHash);
-  H.addWord(FuncId);
-  // Compositions consume callee summaries, so the key pins their exact
-  // content: pre-fixpoint SCC iterations hash differently from the
-  // converged state and can never alias it.
-  for (uint32_t Callee : CG.callees(FuncId)) {
-    H.addWord(Callee);
-    H.addWord(Summaries[Callee].fingerprint());
-  }
-  return H.digest();
-}
-
 void RelayDetector::computeScc(const std::vector<uint32_t> &Scc) {
   // Iterate the SCC to fixpoint (recursion converges because locksets
   // shrink and access sets are bounded by the dedup).
   for (unsigned Iter = 0;; ++Iter) {
     bool Changed = false;
     for (uint32_t F : Scc) {
-      FunctionSummary New;
-      bool Cached = Cache && Cache->lookup(summaryKey(F), New);
-      if (!Cached) {
-        New = summarizeFunction(F);
-        if (Cache)
-          Cache->insert(summaryKey(F), New);
-      }
+      FunctionSummary New = summarizeFunction(F);
       if (!(New == Summaries[F])) {
         Summaries[F] = std::move(New);
         Changed = true;
@@ -312,12 +288,6 @@ void RelayDetector::computeScc(const std::vector<uint32_t> &Scc) {
 
 void RelayDetector::computeSummaries() {
   Summaries.assign(M.Functions.size(), FunctionSummary());
-
-  if (Cache && ModuleHash == 0) {
-    Hasher H;
-    H.addString(ir::printModule(M));
-    ModuleHash = H.digest();
-  }
 
   // Bottom-up over the SCC condensation. SCCs are numbered callee-first,
   // so a callee's DAG level is always computed before its callers'.

@@ -43,8 +43,6 @@ class ThreadPool;
 
 namespace race {
 
-class SummaryCache;
-
 /// One static racy instruction (half of a race pair).
 struct RacyAccess {
   uint32_t FuncId = 0;
@@ -107,16 +105,14 @@ public:
   /// \p Pool, when given, parallelizes summary composition across
   /// call-independent SCCs (same level of the SCC DAG); results are
   /// bit-identical to the serial order because each task writes only its
-  /// own functions' summary slots. \p Cache, when given, skips the
-  /// dataflow for any (module, function, callee-summaries) content hash
-  /// seen before. \p Mhp, when given and not Off, filters candidate race
-  /// pairs whose accesses are provably ordered; pruned pairs are kept in
-  /// RaceReport::PrunedPairs for auditing.
+  /// own functions' summary slots. Every run computes its summaries;
+  /// nothing is cached across detectors. \p Mhp, when given and not Off,
+  /// filters candidate race pairs whose accesses are provably ordered;
+  /// pruned pairs are kept in RaceReport::PrunedPairs for auditing.
   RelayDetector(const ir::Module &M, const analysis::CallGraph &CG,
                 const analysis::PointsTo &PT,
                 const analysis::EscapeAnalysis &Escape,
                 support::ThreadPool *Pool = nullptr,
-                SummaryCache *Cache = nullptr,
                 const analysis::MayHappenInParallel *Mhp = nullptr);
 
   /// Runs the full analysis.
@@ -129,16 +125,13 @@ private:
   FunctionSummary summarizeFunction(uint32_t FuncId);
   void computeScc(const std::vector<uint32_t> &Scc);
   void computeSummaries();
-  uint64_t summaryKey(uint32_t FuncId) const;
 
   const ir::Module &M;
   const analysis::CallGraph &CG;
   const analysis::PointsTo &PT;
   const analysis::EscapeAnalysis &Escape;
   support::ThreadPool *Pool = nullptr;
-  SummaryCache *Cache = nullptr;
   const analysis::MayHappenInParallel *Mhp = nullptr;
-  uint64_t ModuleHash = 0; ///< Content hash anchoring cache keys.
   std::vector<FunctionSummary> Summaries;
 };
 

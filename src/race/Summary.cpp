@@ -21,15 +21,3 @@ uint64_t FunctionSummary::accessFingerprint() const {
   }
   return H.digest();
 }
-
-uint64_t FunctionSummary::fingerprint() const {
-  Hasher H;
-  for (uint32_t L : NetAcquired.ids())
-    H.addWord(L);
-  H.addWord(0xacc0);
-  for (uint32_t L : MayReleased.ids())
-    H.addWord(L);
-  H.addWord(0x5e1ea5e);
-  H.addWord(accessFingerprint());
-  return H.digest();
-}

@@ -55,11 +55,6 @@ struct FunctionSummary {
 
   /// Cheap structural fingerprint used for fixpoint detection.
   uint64_t accessFingerprint() const;
-
-  /// Fingerprint of the whole summary (lock effects + accesses); the
-  /// SummaryCache keys compositions on callee fingerprints, so this must
-  /// change whenever any observable part of the summary changes.
-  uint64_t fingerprint() const;
 };
 
 } // namespace race

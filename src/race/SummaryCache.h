@@ -1,83 +1,35 @@
-//===- race/SummaryCache.h - Content-keyed summary cache --------*- C++ -*-===//
+//===- race/SummaryCache.h - Inert stand-in for a removed cache -*- C++ -*-===//
 //
 // Part of the Chimera reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A process-wide, thread-safe cache of RELAY function summaries keyed
-/// by content hash: module content x function id x the fingerprints of
-/// the callee summaries the composition consumed. Bench sweeps and
-/// ablation studies rebuild the same pipeline many times over identical
-/// source; with the cache, every rebuild after the first skips the
-/// lockset dataflow entirely. Keys include callee fingerprints, so
-/// intermediate (pre-fixpoint) SCC iterations never alias converged
-/// results.
-///
-/// The cache only ever stores values that are a pure function of the
-/// key, so a lookup hit is byte-identical to recomputation — parallel
-/// determinism is unaffected.
+/// RELAY once consulted a process-wide cache of function summaries.
+/// Hashing the module and every callee summary cost more than the
+/// per-function dataflow it skipped, so every RELAY run now computes its
+/// summaries. This stateless class is kept only for perfbench/, which
+/// still clears the cache and reads its hit gauge; both do nothing, and
+/// the gauge is never published (a snapshot reads it as 0).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHIMERA_RACE_SUMMARYCACHE_H
 #define CHIMERA_RACE_SUMMARYCACHE_H
 
-#include "race/Summary.h"
 #include "support/Metrics.h"
-
-#include <cstdint>
-#include <deque>
-#include <functional>
-#include <mutex>
-#include <unordered_map>
 
 namespace chimera {
 namespace race {
 
 class SummaryCache {
 public:
-  /// Size cap for the cache. When an insert would exceed it, the
-  /// oldest entries are evicted (FIFO). Eviction only costs a future
-  /// recomputation — cached values are a pure function of the key — so
-  /// the process-wide instance stays bounded across arbitrarily long
-  /// bench sweeps over distinct modules.
-  static constexpr size_t MaxEntries = 1 << 16;
-
-  /// The shared process-wide instance the pipeline uses by default.
-  static SummaryCache &global();
-
-  /// Copies the cached summary into \p Out and returns true on a hit.
-  bool lookup(uint64_t Key, FunctionSummary &Out) const;
-
-  /// Stores \p Summary under \p Key (first writer wins), evicting the
-  /// oldest entries once the cache holds MaxEntries.
-  void insert(uint64_t Key, const FunctionSummary &Summary);
-
-  void clear();
-
-  /// Calls \p Fn for every cached (key, summary) pair under the cache
-  /// lock (\p Fn must not reenter the cache). Iteration order is
-  /// unspecified — persistence layers that need a canonical order sort
-  /// on their side (service::ArtifactCache keys entries in a sorted
-  /// map, so the exported image is deterministic regardless).
-  void forEach(
-      const std::function<void(uint64_t, const FunctionSummary &)> &Fn) const;
-
-  /// Publishes the cache counters into \p Scope as gauges ("hits",
-  /// "misses", "entries", "evictions") — gauges because the cache is
-  /// process-global and the numbers are states, not per-run deltas. A
-  /// null-registry scope is a no-op. This is the only read path (the
-  /// deprecated stats() accessor is gone).
-  void publishTo(const obs::Scope &Scope) const;
-
-private:
-  mutable std::mutex Mu;
-  std::unordered_map<uint64_t, FunctionSummary> Map;
-  std::deque<uint64_t> Order; ///< Insertion order, for FIFO eviction.
-  mutable uint64_t Hits = 0;
-  mutable uint64_t Misses = 0;
-  uint64_t Evictions = 0;
+  static SummaryCache &global() {
+    static SummaryCache Inert;
+    return Inert;
+  }
+  void clear() {}
+  void publishTo(const obs::Scope &) const {}
 };
 
 } // namespace race

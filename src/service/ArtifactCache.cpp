@@ -3,7 +3,6 @@
 #include "service/ArtifactCache.h"
 
 #include "instrument/LockOrderAuditor.h"
-#include "race/SummaryCache.h"
 #include "support/Compressor.h"
 #include "support/Crc32.h"
 
@@ -72,27 +71,6 @@ bool readU32s(ByteCursor &C, std::vector<uint32_t> &Out) {
   return true;
 }
 
-void appendLockset(std::vector<uint8_t> &Out, const race::Lockset &L) {
-  Out.push_back(L.isTop() ? 1 : 0);
-  if (!L.isTop())
-    appendU32s(Out, L.ids());
-}
-
-bool readLockset(ByteCursor &C, race::Lockset &Out) {
-  uint8_t Top;
-  if (!C.readByte(Top) || Top > 1)
-    return false;
-  if (Top) {
-    Out = race::Lockset::top();
-    return true;
-  }
-  std::vector<uint32_t> Ids;
-  if (!readU32s(C, Ids))
-    return false;
-  Out = race::Lockset(std::move(Ids));
-  return true;
-}
-
 void appendAffine(std::vector<uint8_t> &Out, const bounds::AffineExpr &E) {
   Out.push_back(E.valid() ? 1 : 0);
   if (!E.valid())
@@ -130,44 +108,6 @@ bool readAffine(ByteCursor &C, bounds::AffineExpr &Out) {
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Summary codec
-//===----------------------------------------------------------------------===//
-
-void service::encodeSummary(const race::FunctionSummary &S,
-                            std::vector<uint8_t> &Out) {
-  appendLockset(Out, S.NetAcquired);
-  appendLockset(Out, S.MayReleased);
-  appendVarint(Out, S.Accesses.size());
-  for (const race::AccessRecord &A : S.Accesses) {
-    appendVarint(Out, A.FuncId);
-    appendVarint(Out, A.Ident);
-    Out.push_back(A.IsWrite ? 1 : 0);
-    appendU32s(Out, A.Objects);
-    appendLockset(Out, A.Held);
-  }
-}
-
-bool service::decodeSummary(ByteCursor &C, race::FunctionSummary &Out) {
-  Out = race::FunctionSummary();
-  uint64_t N;
-  if (!readLockset(C, Out.NetAcquired) || !readLockset(C, Out.MayReleased) ||
-      !C.readVarint(N) || N > C.remaining())
-    return false;
-  Out.Accesses.reserve(static_cast<size_t>(N));
-  for (uint64_t I = 0; I != N; ++I) {
-    race::AccessRecord A;
-    uint8_t IsWrite;
-    if (!C.readVarint32(A.FuncId) || !C.readVarint32(A.Ident) ||
-        !C.readByte(IsWrite) || IsWrite > 1 || !readU32s(C, A.Objects) ||
-        !readLockset(C, A.Held))
-      return false;
-    A.IsWrite = IsWrite != 0;
-    Out.Accesses.push_back(std::move(A));
-  }
-  return true;
-}
 
 //===----------------------------------------------------------------------===//
 // Plan codec
@@ -459,7 +399,7 @@ ArtifactCache::loadBytes(const std::vector<uint8_t> &Bytes) {
       return entryError(Index, EntryStart, "bad entry magic");
     }
     uint16_t Kind = replay::readLe16(H + 4);
-    if (Kind != static_cast<uint16_t>(ArtifactKind::Summary) &&
+    if (Kind != RetiredSummaryKind &&
         Kind != static_cast<uint16_t>(ArtifactKind::Plan)) {
       std::lock_guard<std::mutex> Lock(Mu);
       ++LoadDropped;
@@ -497,7 +437,9 @@ ArtifactCache::loadBytes(const std::vector<uint8_t> &Bytes) {
     Pos += Size;
     {
       std::lock_guard<std::mutex> Lock(Mu);
-      if (Entries
+      if (Kind == RetiredSummaryKind) {
+        ++LoadDropped; // Validated, then skipped: never written any more.
+      } else if (Entries
               .emplace(EntryKey{Kind, Key},
                        std::vector<uint8_t>(Payload, Payload + Size))
               .second) {
@@ -551,44 +493,4 @@ void ArtifactCache::publishTo(const obs::Scope &Scope) const {
   Scope.gauge("inserts").set(static_cast<int64_t>(Inserts));
   Scope.gauge("loaded").set(static_cast<int64_t>(Loaded));
   Scope.gauge("load_dropped").set(static_cast<int64_t>(LoadDropped));
-}
-
-//===----------------------------------------------------------------------===//
-// SummaryCache bridge
-//===----------------------------------------------------------------------===//
-
-// Both bridges snapshot under the source cache's lock and insert into
-// the destination only after iteration ends. Inserting from inside
-// forEach would nest the two cache mutexes in opposite orders across
-// the two bridges — a classic ABBA deadlock if they ever ran
-// concurrently (and a ThreadSanitizer lock-order report even when they
-// don't).
-
-uint64_t service::exportSummaries(const race::SummaryCache &From,
-                                  ArtifactCache &To) {
-  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> Encoded;
-  From.forEach([&](uint64_t Key, const race::FunctionSummary &S) {
-    std::vector<uint8_t> Bytes;
-    encodeSummary(S, Bytes);
-    Encoded.emplace_back(Key, std::move(Bytes));
-  });
-  uint64_t Before = To.entryCount();
-  for (auto &[Key, Bytes] : Encoded)
-    To.insert(ArtifactKind::Summary, Key, std::move(Bytes));
-  return To.entryCount() - Before;
-}
-
-uint64_t service::importSummaries(const ArtifactCache &From,
-                                  race::SummaryCache &To) {
-  std::vector<std::pair<uint64_t, race::FunctionSummary>> Decoded;
-  From.forEach(ArtifactKind::Summary,
-               [&](uint64_t Key, const std::vector<uint8_t> &Bytes) {
-                 ByteCursor C(Bytes);
-                 race::FunctionSummary S;
-                 if (decodeSummary(C, S) && C.atEnd())
-                   Decoded.emplace_back(Key, std::move(S));
-               });
-  for (const auto &[Key, S] : Decoded)
-    To.insert(Key, S);
-  return Decoded.size();
 }

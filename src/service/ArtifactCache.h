@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A persistent, process-shared cache of analysis artifacts: RELAY
-/// function summaries and (certified) instrumentation plans, keyed by
-/// content hash and stored in the byte-exact `CART1` on-disk format
+/// A persistent, process-shared cache of analysis artifacts — the
+/// (certified) instrumentation plans, keyed by content hash and stored
+/// in the byte-exact `CART1` on-disk format
 /// (docs/CACHE_FORMAT.md — same conventions as the segmented log:
 /// little-endian scalars, CRC-protected framing, typed errors naming
 /// the damaged entry and offset).
@@ -15,10 +15,10 @@
 /// The cache is the service layer's amortization vehicle: a pipeline
 /// whose `PipelineConfig::Artifacts` points here skips the planner,
 /// the profile runs, and the whole lock-order certification loop on a
-/// plan hit, and a `race::SummaryCache` seeded via `importSummaries`
-/// skips the lockset dataflow — across *processes*, not just within
-/// one. Every stored value is a pure function of its key, every entry
-/// is CRC-validated on load and decode-validated before use, and plans
+/// plan hit — across *processes*, not just within one. RELAY is not
+/// cached: its dataflow costs less than hashing a key for it. Every
+/// stored value is a pure function of its key, every entry is
+/// CRC-validated on load and decode-validated before use, and plans
 /// additionally re-check their stamped fingerprint, so a hit is
 /// byte-identical to recomputation and damage only ever costs a
 /// recompute — never a wrong artifact (test-pinned by the corruption
@@ -33,7 +33,6 @@
 #define CHIMERA_SERVICE_ARTIFACTCACHE_H
 
 #include "instrument/Plan.h"
-#include "race/Summary.h"
 #include "replay/LogFormat.h"
 #include "support/Expected.h"
 #include "support/Metrics.h"
@@ -46,16 +45,17 @@
 #include <vector>
 
 namespace chimera {
-namespace race {
-class SummaryCache;
-}
 namespace service {
 
 /// What an entry's payload encodes. Values are stable on-disk numbers.
 enum class ArtifactKind : uint16_t {
-  Summary = 1, ///< race::FunctionSummary (RELAY).
-  Plan = 2,    ///< instrument::InstrumentationPlan (with certificate).
+  Plan = 2, ///< instrument::InstrumentationPlan (with certificate).
 };
+
+/// Kind 1 held RELAY function summaries. Images written before they
+/// were retired still carry such entries: load validates their CRCs,
+/// then skips them (counted in "load_dropped"); nothing writes them.
+inline constexpr uint16_t RetiredSummaryKind = 1;
 
 // -- CART1 format constants (docs/CACHE_FORMAT.md) -------------------------
 
@@ -75,9 +75,6 @@ inline constexpr uint64_t MaxArtifactPayloadBytes = 256ull * 1024 * 1024;
 // reproduces the stored bytes — the invariant the cold-vs-warm tests
 // pin. Decoders read through a bounds-checked cursor and return false
 // on any structural problem; callers treat that as a miss.
-
-void encodeSummary(const race::FunctionSummary &S, std::vector<uint8_t> &Out);
-bool decodeSummary(replay::ByteCursor &C, race::FunctionSummary &Out);
 
 void encodePlan(const instrument::InstrumentationPlan &P,
                 std::vector<uint8_t> &Out);
@@ -115,12 +112,12 @@ public:
   std::vector<uint8_t> serialize() const;
 
   /// Merges the entries of a CART1 image into this cache (existing keys
-  /// win). Returns the number of entries loaded. Damage yields a typed
-  /// error naming the entry index and byte offset; every entry before
-  /// the damage is retained (longest-valid-prefix, like log recovery).
-  /// A failed or partial load never surfaces a damaged artifact — CRC
-  /// validation precedes every insertion — so the only cost is
-  /// recomputation.
+  /// win; kind-1 entries are skipped). Returns the number of entries
+  /// loaded. Damage yields a typed error naming the entry index and
+  /// byte offset; every entry before the damage is retained
+  /// (longest-valid-prefix, like log recovery). A failed or partial load
+  /// never surfaces a damaged artifact — CRC validation precedes every
+  /// insertion — so the only cost is recomputation.
   support::Expected<uint64_t> loadBytes(const std::vector<uint8_t> &Bytes);
 
   /// loadBytes over a file. A missing file is an empty cache (returns
@@ -143,21 +140,8 @@ private:
   mutable uint64_t Misses = 0;
   uint64_t Inserts = 0;
   uint64_t Loaded = 0;      ///< Entries accepted by load*.
-  uint64_t LoadDropped = 0; ///< Entries skipped by load* (dup/damage).
+  uint64_t LoadDropped = 0; ///< Entries skipped by load* (dup/damage/kind 1).
 };
-
-// -- SummaryCache bridge ----------------------------------------------------
-
-/// Persists every RELAY summary in \p From into \p To (kind Summary).
-/// Returns the number of entries written (first-writer-wins, so already
-/// persisted keys do not count).
-uint64_t exportSummaries(const race::SummaryCache &From, ArtifactCache &To);
-
-/// Seeds \p To with every decodable Summary artifact in \p From, so the
-/// next RELAY run skips the lockset dataflow for cached functions.
-/// Returns the number of summaries imported; undecodable payloads are
-/// skipped (they only cost a recompute).
-uint64_t importSummaries(const ArtifactCache &From, race::SummaryCache &To);
 
 } // namespace service
 } // namespace chimera

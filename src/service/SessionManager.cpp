@@ -62,16 +62,22 @@ bool SessionManager::cancel(uint64_t Id) {
 
 SessionResult SessionManager::wait(uint64_t Id) {
   std::unique_lock<std::mutex> Lock(Mu);
-  auto It = Sessions.find(Id);
-  if (It == Sessions.end()) {
+  auto unknown = [Id] {
     SessionResult R;
     R.Id = Id;
     R.Error = "unknown session id " + std::to_string(Id);
     return R;
-  }
+  };
+  auto It = Sessions.find(Id);
+  if (It == Sessions.end())
+    return unknown();
   std::shared_ptr<Session> S = It->second;
   Cv.wait(Lock, [&] { return S->Completed; });
-  return S->Result;
+  // A result is handed out once; erasing it frees its log bytes. A
+  // concurrent wait or drainAll that collected it first wins.
+  if (Sessions.erase(Id) == 0)
+    return unknown();
+  return std::move(S->Result);
 }
 
 std::vector<SessionResult> SessionManager::drainAll() {
@@ -79,8 +85,9 @@ std::vector<SessionResult> SessionManager::drainAll() {
   Cv.wait(Lock, [&] { return InFlight == 0; });
   std::vector<SessionResult> All;
   All.reserve(Sessions.size());
-  for (const auto &[Id, S] : Sessions) // std::map: admission (id) order.
-    All.push_back(S->Result);
+  for (auto &[Id, S] : Sessions) // std::map: admission (id) order.
+    All.push_back(std::move(S->Result));
+  Sessions.clear();
   return All;
 }
 

@@ -27,11 +27,14 @@
 ///  - **Graceful drain.** `shutdown()` (and the destructor) stops
 ///    admissions, lets every in-flight session finish, and only then
 ///    joins the workers.
-///  - **Determinism.** Sessions only share deterministic, content-keyed
-///    state (the ArtifactCache and the process-global SummaryCache), so
-///    the same request yields bit-identical artifacts at any
-///    concurrency — `SessionResult` carries the hashes, the plan
-///    fingerprint, and the encoded log so callers can check.
+///  - **Determinism.** Sessions share only deterministic, content-keyed
+///    state (the ArtifactCache), so the same request yields
+///    bit-identical artifacts at any concurrency — `SessionResult`
+///    carries the hashes, the plan fingerprint, and the encoded log so
+///    callers can check.
+///  - **Bounded memory.** A result lives in the manager only until
+///    `wait` or `drainAll` collects it, so a manager that serves many
+///    sessions does not accumulate their logs.
 ///
 /// With `Options::Metrics` attached, fleet-wide counters land under
 /// `service.*` and per-session wall times under
@@ -130,16 +133,18 @@ public:
                                      SessionOptions SO = SessionOptions());
 
   /// Requests cancellation of session \p Id. Honored at the session's
-  /// next stage boundary. Returns false for unknown or already
-  /// completed sessions (completion wins the race).
+  /// next stage boundary. Returns false for unknown, completed or
+  /// collected sessions (completion wins the race).
   bool cancel(uint64_t Id);
 
-  /// Blocks until session \p Id completes and returns its result. An
-  /// unknown id yields a failed result saying so.
+  /// Blocks until session \p Id completes and returns its result. Each
+  /// result is handed out once: collecting it forgets the session, so a
+  /// long-lived manager holds only uncollected results. An unknown or
+  /// already collected id yields a failed result saying so.
   SessionResult wait(uint64_t Id);
 
-  /// Blocks until every admitted session completes; results of all
-  /// sessions ever admitted, in admission order.
+  /// Blocks until every admitted session completes; returns the results
+  /// not yet collected by wait(), in admission order, and forgets them.
   std::vector<SessionResult> drainAll();
 
   /// Stops admitting, waits for every in-flight session. Idempotent.
@@ -172,6 +177,7 @@ private:
   uint64_t NextId = 1;
   size_t InFlight = 0;
   bool Draining = false;
+  /// Admitted sessions whose result is not collected yet.
   std::map<uint64_t, std::shared_ptr<Session>> Sessions;
 
   /// Last member: destroyed (joined) first, while Sessions is alive.

@@ -57,10 +57,9 @@ bool shrinkProfile(TrialCase &C) {
 }
 
 bool shrinkJobs(TrialCase &C) {
-  if (C.Config.AnalysisJobs == 1 && C.Config.UseSummaryCache)
+  if (C.Config.AnalysisJobs == 1)
     return false;
   C.Config.AnalysisJobs = 1;
-  C.Config.UseSummaryCache = true;
   return true;
 }
 

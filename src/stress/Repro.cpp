@@ -69,7 +69,6 @@ std::string stress::formatRepro(const TrialCase &Case) {
   emit(Out, "profile-cores", Cfg.ProfileCores);
   emit(Out, "profile-seed-base", Cfg.ProfileSeedBase);
   emit(Out, "analysis-jobs", Cfg.AnalysisJobs);
-  emit(Out, "summary-cache", uint64_t(Cfg.UseSummaryCache));
   emit(Out, "mhp", analysis::mhpModeName(Cfg.Mhp));
   emit(Out, "lock-order", analysis::lockOrderModeName(Cfg.LockOrder));
   emit(Out, "weak-lock-timeout", Cfg.WeakLockTimeout);
@@ -185,11 +184,6 @@ support::Expected<TrialCase> stress::parseRepro(const std::string &Text) {
       if (!V)
         return V.error();
       Case.Config.AnalysisJobs = unsigned(*V);
-    } else if (Key == "summary-cache") {
-      auto V = U64();
-      if (!V)
-        return V.error();
-      Case.Config.UseSummaryCache = *V != 0;
     } else if (Key == "mhp") {
       auto M = analysis::parseMhpMode(Value);
       if (!M)

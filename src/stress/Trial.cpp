@@ -266,7 +266,7 @@ TrialCase stress::deriveCase(uint64_t BaseSeed, uint64_t Index) {
   Cfg.ProfileCores = pick(Rng, (const unsigned[]){2, 4});
   Cfg.ProfileSeedBase = 90001 + Rng.nextBelow(5) * 1000;
   Cfg.AnalysisJobs = unsigned(Rng.nextInRange(1, 2));
-  Cfg.UseSummaryCache = Rng.chance(1, 2);
+  Rng.chance(1, 2); // The retired summary-cache switch; keeps seeds stable.
   Cfg.Mhp = pick(Rng, (const analysis::MhpMode[]){
                           analysis::MhpMode::Off, analysis::MhpMode::ForkJoin,
                           analysis::MhpMode::Barrier,

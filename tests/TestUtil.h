@@ -15,9 +15,7 @@
 #define CHIMERA_TESTS_TESTUTIL_H
 
 #include "codegen/CodeGen.h"
-#include "race/SummaryCache.h"
 #include "runtime/Machine.h"
-#include "support/Metrics.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -68,14 +66,6 @@ pipelineOrNull(workloads::WorkloadKind Kind, unsigned Workers) {
   auto P = workloads::buildPipelineEx(Kind, Workers);
   EXPECT_TRUE(P.hasValue()) << (P ? "" : P.error().message());
   return P ? P.take() : nullptr;
-}
-
-/// Snapshot of a SummaryCache's counters under the "cache." prefix
-/// (the registry read path that replaced SummaryCache::stats()).
-inline obs::Snapshot cacheSnapshot(const race::SummaryCache &Cache) {
-  obs::Registry Reg;
-  Cache.publishTo(obs::Scope(&Reg, "cache"));
-  return Reg.snapshot();
 }
 
 } // namespace test

@@ -39,8 +39,7 @@ Detected detect(const std::string &Source, MhpMode Mode) {
   analysis::PointsTo PT(*Out.M);
   analysis::EscapeAnalysis Escape(*Out.M, PT);
   MayHappenInParallel Mhp(*Out.M, CG, PT, Mode);
-  race::RelayDetector Detector(*Out.M, CG, PT, Escape, nullptr, nullptr,
-                               &Mhp);
+  race::RelayDetector Detector(*Out.M, CG, PT, Escape, nullptr, &Mhp);
   Out.Report = Detector.detect();
   return Out;
 }

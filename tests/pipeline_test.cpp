@@ -2,7 +2,6 @@
 
 #include "TestUtil.h"
 #include "core/Pipeline.h"
-#include "race/SummaryCache.h"
 
 #include <gtest/gtest.h>
 
@@ -110,10 +109,8 @@ TEST(Pipeline, ParallelAnalysisIsDeterministic) {
   // byte-identical whether the analysis runs serially or on 8 workers.
   PipelineConfig Serial = config();
   Serial.AnalysisJobs = 1;
-  Serial.UseSummaryCache = false; // Force both sides to really compute.
   PipelineConfig Parallel = config();
   Parallel.AnalysisJobs = 8;
-  Parallel.UseSummaryCache = false;
 
   auto P1 = build(Serial);
   auto P8 = build(Parallel);
@@ -126,49 +123,6 @@ TEST(Pipeline, ParallelAnalysisIsDeterministic) {
             P8->profileData().ConcurrentPairs);
   EXPECT_EQ(P1->plan().summary(P1->originalModule()),
             P8->plan().summary(P8->originalModule()));
-}
-
-TEST(Pipeline, SummaryCacheSkipsRecomputation) {
-  race::SummaryCache::global().clear();
-  auto P1 = build(config());
-  ASSERT_NE(P1, nullptr);
-  const std::string First = P1->raceReport().str(P1->originalModule());
-  obs::Snapshot AfterFirst =
-      test::cacheSnapshot(race::SummaryCache::global());
-  EXPECT_GT(AfterFirst.value("cache.entries", 0), 0);
-
-  // An identical rebuild replays summaries from the cache and must
-  // produce an identical report.
-  auto P2 = build(config());
-  ASSERT_NE(P2, nullptr);
-  EXPECT_EQ(P2->raceReport().str(P2->originalModule()), First);
-  obs::Snapshot AfterSecond =
-      test::cacheSnapshot(race::SummaryCache::global());
-  EXPECT_GT(AfterSecond.value("cache.hits", 0),
-            AfterFirst.value("cache.hits", 0));
-  EXPECT_EQ(AfterSecond.value("cache.entries", -1),
-            AfterFirst.value("cache.entries", -2));
-}
-
-TEST(Pipeline, SummaryCacheEvictsOldestAtCapacity) {
-  // The process-wide cache must stay bounded across long bench sweeps:
-  // overfilling it evicts the oldest entries instead of growing.
-  race::SummaryCache Cache;
-  race::FunctionSummary S;
-  for (uint64_t Key = 0; Key != race::SummaryCache::MaxEntries + 10;
-       ++Key)
-    Cache.insert(Key, S);
-
-  obs::Snapshot St = test::cacheSnapshot(Cache);
-  EXPECT_EQ(St.value("cache.entries", 0),
-            static_cast<int64_t>(race::SummaryCache::MaxEntries));
-  EXPECT_EQ(St.value("cache.evictions", 0), 10);
-
-  // Keys 0..9 were evicted FIFO; the newest keys are still present.
-  race::FunctionSummary Out;
-  EXPECT_FALSE(Cache.lookup(0, Out));
-  EXPECT_TRUE(
-      Cache.lookup(race::SummaryCache::MaxEntries + 9, Out));
 }
 
 TEST(Pipeline, SetPlannerOptionsInvalidatesPlan) {

@@ -4,8 +4,6 @@
 #include "codegen/CodeGen.h"
 #include "race/Lockset.h"
 #include "race/RelayDetector.h"
-#include "race/SummaryCache.h"
-#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -260,42 +258,6 @@ TEST(Relay, RacyInstructionsAndFunctionPairsDeduplicated) {
   for (size_t I = 1; I < Insts.size(); ++I)
     EXPECT_TRUE(std::tie(Insts[I - 1].FuncId, Insts[I - 1].Ident) <
                 std::tie(Insts[I].FuncId, Insts[I].Ident));
-}
-
-TEST(SummaryCacheHits, SecondDetectionHitsAndMatchesFirst) {
-  // A fresh detector over the same module must find every function
-  // summary already cached and still produce the identical report —
-  // cached values are a pure function of the key.
-  const std::string Source =
-      workloads::workloadSource(workloads::WorkloadKind::Pfscan,
-                                workloads::evalParams(
-                                    workloads::WorkloadKind::Pfscan));
-    auto M = test::compileOrNull(Source, "t");
-  analysis::CallGraph CG(*M);
-  analysis::PointsTo PT(*M);
-  analysis::EscapeAnalysis Escape(*M, PT);
-
-  SummaryCache Cache;
-  RelayDetector First(*M, CG, PT, Escape, nullptr, &Cache);
-  RaceReport A = First.detect();
-  obs::Snapshot AfterFirst = test::cacheSnapshot(Cache);
-  EXPECT_EQ(AfterFirst.value("cache.hits", -1), 0);
-  EXPECT_GT(AfterFirst.value("cache.entries", 0), 0);
-
-  RelayDetector Second(*M, CG, PT, Escape, nullptr, &Cache);
-  RaceReport B = Second.detect();
-  obs::Snapshot AfterSecond = test::cacheSnapshot(Cache);
-  EXPECT_GT(AfterSecond.value("cache.hits", 0), 0);
-  EXPECT_EQ(AfterSecond.value("cache.misses", -1),
-            AfterFirst.value("cache.misses", -2))
-      << "second detection recomputed a summary the first one cached";
-
-  ASSERT_EQ(A.Pairs.size(), B.Pairs.size());
-  for (size_t I = 0; I < A.Pairs.size(); ++I) {
-    EXPECT_EQ(A.Pairs[I].key(), B.Pairs[I].key());
-    EXPECT_EQ(A.Pairs[I].Objects, B.Pairs[I].Objects);
-  }
-  EXPECT_EQ(A.racyFunctionPairs(), B.racyFunctionPairs());
 }
 
 TEST(Relay, CondVarOrderingInvisible) {

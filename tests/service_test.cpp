@@ -17,10 +17,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Pipeline.h"
-#include "race/SummaryCache.h"
 #include "replay/LogCodec.h"
 #include "service/ArtifactCache.h"
 #include "service/SessionManager.h"
+#include "support/Crc32.h"
 
 #include <gtest/gtest.h>
 
@@ -62,10 +62,8 @@ core::PipelineRequest request(std::string Tag, const char *Source = Src) {
 }
 
 /// Builds one pipeline over Src with \p Cache attached and forces the
-/// plan stage, so the cache holds the plan artifact; then persists the
-/// process-global RELAY summaries too.
+/// plan stage, so the cache holds the plan artifact.
 std::unique_ptr<core::ChimeraPipeline> populate(ArtifactCache &Cache) {
-  race::SummaryCache::global().clear();
   core::PipelineConfig C = config();
   C.Artifacts = &Cache;
   auto P = core::ChimeraPipeline::create({.Eval = Src, .Config = C});
@@ -73,7 +71,6 @@ std::unique_ptr<core::ChimeraPipeline> populate(ArtifactCache &Cache) {
   if (!P)
     return nullptr;
   (*P)->plan();
-  exportSummaries(race::SummaryCache::global(), Cache);
   return P.take();
 }
 
@@ -81,11 +78,29 @@ std::unique_ptr<core::ChimeraPipeline> populate(ArtifactCache &Cache) {
 std::map<std::pair<uint16_t, uint64_t>, std::vector<uint8_t>>
 entriesOf(const ArtifactCache &Cache) {
   std::map<std::pair<uint16_t, uint64_t>, std::vector<uint8_t>> Out;
-  for (ArtifactKind K : {ArtifactKind::Summary, ArtifactKind::Plan})
-    Cache.forEach(K, [&](uint64_t Key, const std::vector<uint8_t> &Bytes) {
-      Out[{static_cast<uint16_t>(K), Key}] = Bytes;
-    });
+  Cache.forEach(ArtifactKind::Plan,
+                [&](uint64_t Key, const std::vector<uint8_t> &Bytes) {
+                  Out[{static_cast<uint16_t>(ArtifactKind::Plan), Key}] =
+                      Bytes;
+                });
   return Out;
+}
+
+/// Appends one CART1 entry of any kind number to \p Image, framed and
+/// CRC'd as docs/CACHE_FORMAT.md specifies.
+void appendEntry(std::vector<uint8_t> &Image, uint16_t Kind, uint64_t Key,
+                 const std::vector<uint8_t> &Payload) {
+  size_t Start = Image.size();
+  Image.insert(Image.end(), EntryMagic, EntryMagic + 4);
+  replay::appendLe16(Image, Kind);
+  replay::appendLe16(Image, 0);
+  replay::appendLe64(Image, Key);
+  replay::appendLe32(Image, static_cast<uint32_t>(Payload.size()));
+  replay::appendLe32(Image, support::crc32(Payload.data(), Payload.size()));
+  replay::appendLe32(Image, 0);
+  replay::appendLe32(Image,
+                     support::crc32(Image.data() + Start, Image.size() - Start));
+  Image.insert(Image.end(), Payload.begin(), Payload.end());
 }
 
 } // namespace
@@ -98,7 +113,7 @@ TEST(ArtifactCacheTest, SerializeLoadRoundTripIsByteIdentical) {
   ArtifactCache Cache;
   auto P = populate(Cache);
   ASSERT_NE(P, nullptr);
-  ASSERT_GT(Cache.entryCount(), 1u); // Summaries + the plan.
+  ASSERT_EQ(Cache.entryCount(), 1u); // The plan.
 
   std::vector<uint8_t> Image = Cache.serialize();
   ArtifactCache Loaded;
@@ -147,21 +162,6 @@ TEST(ArtifactCacheTest, CodecsRoundTripRealArtifacts) {
   EXPECT_EQ(Again, PlanBytes);
   EXPECT_EQ(instrument::planFingerprint(Decoded),
             instrument::planFingerprint(P->plan()));
-
-  // Summaries: every persisted summary survives a round trip.
-  unsigned Checked = 0;
-  Cache.forEach(ArtifactKind::Summary,
-                [&](uint64_t, const std::vector<uint8_t> &Bytes) {
-                  replay::ByteCursor SC(Bytes);
-                  race::FunctionSummary S;
-                  ASSERT_TRUE(decodeSummary(SC, S));
-                  EXPECT_TRUE(SC.atEnd());
-                  std::vector<uint8_t> Re;
-                  encodeSummary(S, Re);
-                  EXPECT_EQ(Re, Bytes);
-                  ++Checked;
-                });
-  EXPECT_GT(Checked, 0u);
 }
 
 TEST(ArtifactCacheTest, WarmStartIsByteIdenticalToRecompute) {
@@ -175,13 +175,10 @@ TEST(ArtifactCacheTest, WarmStartIsByteIdenticalToRecompute) {
   ASSERT_TRUE(Rec1.Ok) << Rec1.Error;
   std::vector<uint8_t> Image = Cold.serialize();
 
-  // Warm: fresh process state (cleared summary cache), load the image,
-  // rebuild the same request.
-  race::SummaryCache::global().clear();
+  // Warm: load the image into a fresh cache, rebuild the same request.
   ArtifactCache Warm;
   auto N = Warm.loadBytes(Image);
   ASSERT_TRUE(N) << N.error().message();
-  importSummaries(Warm, race::SummaryCache::global());
   core::PipelineConfig C = config();
   C.Artifacts = &Warm;
   auto P2 = core::ChimeraPipeline::create({.Eval = Src, .Config = C});
@@ -203,8 +200,48 @@ TEST(ArtifactCacheTest, WarmStartIsByteIdenticalToRecompute) {
 
   // Re-persisting after the warm run reproduces the image byte for
   // byte (first-writer-wins + canonical encodings).
-  exportSummaries(race::SummaryCache::global(), Warm);
   EXPECT_EQ(Warm.serialize(), Image);
+}
+
+TEST(ArtifactCacheTest, RetiredSummaryEntriesAreSkippedOnLoad) {
+  // An image from a build that still cached RELAY summaries: a kind-1
+  // entry (an empty summary in that encoding) ahead of the plan.
+  ArtifactCache Cache;
+  auto P = populate(Cache);
+  ASSERT_NE(P, nullptr);
+  const std::vector<uint8_t> PlanOnly = Cache.serialize();
+  const auto Entries = PlanOnly.begin() + CacheHeaderBytes;
+  std::vector<uint8_t> Image(PlanOnly.begin(), Entries);
+  appendEntry(Image, RetiredSummaryKind, 0x5eed, {0, 0, 0, 0, 0});
+  Image.insert(Image.end(), Entries, PlanOnly.end());
+
+  ArtifactCache Loaded;
+  auto N = Loaded.loadBytes(Image);
+  ASSERT_TRUE(N) << N.error().message();
+  EXPECT_EQ(*N, 1u);
+  EXPECT_EQ(Loaded.entryCount(), 1u);
+  obs::Registry Reg;
+  Loaded.publishTo(obs::Scope(&Reg, "c"));
+  EXPECT_EQ(Reg.snapshot().value("c.load_dropped", -1), 1);
+  EXPECT_EQ(Loaded.serialize(), PlanOnly); // Never written back.
+
+  // The skipped entry's payload CRC is still checked.
+  std::vector<uint8_t> Damaged = Image;
+  Damaged[CacheHeaderBytes + EntryHeaderBytes] ^= 1;
+  auto D = ArtifactCache().loadBytes(Damaged);
+  ASSERT_FALSE(bool(D));
+  EXPECT_NE(D.error().message().find("payload CRC mismatch"),
+            std::string::npos)
+      << D.error().message();
+
+  // Every other unassigned kind number stays an error.
+  std::vector<uint8_t> Unknown(PlanOnly.begin(), Entries);
+  appendEntry(Unknown, 3, 0x5eed, {0});
+  auto U = ArtifactCache().loadBytes(Unknown);
+  ASSERT_FALSE(bool(U));
+  EXPECT_NE(U.error().message().find("unknown artifact kind 3"),
+            std::string::npos)
+      << U.error().message();
 }
 
 //===----------------------------------------------------------------------===//
@@ -279,7 +316,6 @@ TEST(ArtifactCacheFaultMatrix, ErrorsNameEntryAndOffset) {
 //===----------------------------------------------------------------------===//
 
 TEST(SessionManagerTest, ConcurrentSessionsOfOneRequestAreBitIdentical) {
-  race::SummaryCache::global().clear();
   ArtifactCache Cache;
   obs::Registry Metrics;
   SessionManager::Options MO;
@@ -308,7 +344,6 @@ TEST(SessionManagerTest, ConcurrentSessionsOfOneRequestAreBitIdentical) {
 }
 
 TEST(SessionManagerTest, FailingSessionLeavesSiblingsUntouched) {
-  race::SummaryCache::global().clear();
   // Solo baseline for the good request.
   SessionResult Solo;
   {
@@ -446,6 +481,32 @@ TEST(SessionManagerTest, ShutdownDrainsAndRejectsNewWork) {
   EXPECT_NE(After.error().message().find("shutting down"),
             std::string::npos);
   M.shutdown(); // Idempotent.
+}
+
+TEST(SessionManagerTest, ResultIsCollectedOnce) {
+  // A collected session is forgotten, so a long-lived manager does not
+  // keep every finished session's log alive.
+  SessionManager M(SessionManager::Options{});
+  auto A = M.submit(request("a"));
+  auto B = M.submit(request("b"));
+  ASSERT_TRUE(bool(A) && bool(B));
+  SessionResult First = M.wait(*A);
+  ASSERT_TRUE(First.Ok) << First.Error;
+  EXPECT_FALSE(First.LogBytes.empty());
+
+  SessionResult Again = M.wait(*A);
+  EXPECT_FALSE(Again.Ok);
+  EXPECT_NE(Again.Error.find("unknown session id " + std::to_string(*A)),
+            std::string::npos)
+      << Again.Error;
+  EXPECT_FALSE(M.cancel(*A));
+
+  // drainAll returns only what wait() has not collected, then forgets it.
+  std::vector<SessionResult> Rest = M.drainAll();
+  ASSERT_EQ(Rest.size(), 1u);
+  EXPECT_EQ(Rest[0].Id, *B);
+  EXPECT_TRUE(Rest[0].Ok) << Rest[0].Error;
+  EXPECT_TRUE(M.drainAll().empty());
 }
 
 TEST(SessionManagerTest, WaitOnUnknownIdFailsTyped) {

@@ -346,15 +346,18 @@ TEST(Repro, RejectsDamage) {
   std::string Text = formatRepro(C);
   EXPECT_FALSE(parseRepro("nonsense\n").hasValue());
   EXPECT_FALSE(parseRepro(Text + "mystery-key: 3\n").hasValue());
-  // An oracle and a key that no longer exist get the typed errors.
+  // An oracle and keys that no longer exist get the typed errors.
   auto Oracle = parseRepro(Text + "oracle: poll-elision\n");
   ASSERT_FALSE(Oracle.hasValue());
   EXPECT_NE(Oracle.error().message().find("unknown oracle"), std::string::npos)
       << Oracle.error().message();
-  auto Key = parseRepro(Text + "force-weak-polling: 1\n");
-  ASSERT_FALSE(Key.hasValue());
-  EXPECT_NE(Key.error().message().find("unknown key"), std::string::npos)
-      << Key.error().message();
+  for (const char *Retired :
+       {"force-weak-polling: 1\n", "summary-cache: 1\n"}) {
+    auto Key = parseRepro(Text + Retired);
+    ASSERT_FALSE(Key.hasValue()) << Retired;
+    EXPECT_NE(Key.error().message().find("unknown key"), std::string::npos)
+        << Key.error().message();
+  }
   // Truncating into the source block must not parse.
   EXPECT_FALSE(parseRepro(Text.substr(0, Text.size() / 2)).hasValue());
 }

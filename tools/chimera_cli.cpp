@@ -47,7 +47,6 @@
 #include "core/Cli.h"
 #include "core/Pipeline.h"
 #include "ir/Printer.h"
-#include "race/SummaryCache.h"
 #include "replay/LogCodec.h"
 #include "replay/LogReader.h"
 #include "service/SessionManager.h"
@@ -153,13 +152,11 @@ int runBatch(const std::vector<std::string> &Paths,
       std::fprintf(stderr, "%s\n", Loaded.error().message().c_str());
       return 1;
     }
-    if (*Loaded) {
+    if (*Loaded)
       std::fprintf(stderr,
                    "[chimera] warm start: %llu artifact(s) loaded from %s\n",
                    static_cast<unsigned long long>(*Loaded),
                    Opts.CachePath.c_str());
-      importSummaries(Cache, race::SummaryCache::global());
-    }
   }
 
   obs::Registry Metrics;
@@ -237,7 +234,6 @@ int runBatch(const std::vector<std::string> &Paths,
     std::printf("bit-identity: ok across %zu session(s)\n", Results.size());
 
   if (!Opts.CachePath.empty() && AllOk) {
-    exportSummaries(race::SummaryCache::global(), Cache);
     if (support::Error E = Cache.saveFile(Opts.CachePath)) {
       std::fprintf(stderr, "%s\n", E.message().c_str());
       return 1;
