@@ -66,8 +66,10 @@ constexpr unsigned FullConfig = NumConfigs - 1;
 const uint64_t Thresholds[] = {0, 16, 48, 128, 1024};
 
 /// The work counters read from each 4-worker pipeline's metrics after
-/// its all-optimizations record and replay.
+/// its native run and its all-optimizations record and replay.
 const char *const WorkCounters[] = {
+    "runtime.native.sched.loop_iterations",
+    "runtime.native.sched.dispatch_chunks",
     "runtime.record.sched.loop_iterations",
     "runtime.record.sched.idle_hops",
     "runtime.record.sched.dispatch_chunks",
@@ -76,7 +78,7 @@ const char *const WorkCounters[] = {
     "runtime.replay.sched.dispatch_chunks",
     "runtime.record.log.order.total.bytes",
 };
-constexpr unsigned NumWorkCounters = 7;
+constexpr unsigned NumWorkCounters = 9;
 
 /// One row of the loop-body-threshold ablation.
 struct ThresholdRow {
@@ -159,13 +161,13 @@ WorkloadRuns measure(WorkloadKind K) {
       std::exit(1);
     }
     core::ChimeraPipeline &P = **Built;
+    obs::Snapshot Before = metricsOf(P);
     W.Native[C] = statsOf(P.runOriginalNative(BenchSeed), "native");
     if (C != At4) {
       W.Record[C] = statsOf(P.record(BenchSeed), "record");
       continue;
     }
 
-    obs::Snapshot Before = metricsOf(P);
     auto Out = P.recordAndReplay(BenchSeed);
     requireOk(Out.Record, "record");
     requireOk(Out.Replay, "replay");
@@ -568,21 +570,27 @@ void printWorkCounters(const std::vector<WorkloadRuns> &Runs) {
   section("work_counters");
   std::printf("Work counters of the Table 2 runs (4 workers, all "
               "optimizations)\n\n");
-  std::printf("%-10s | %10s %10s %10s | %10s %10s %10s | %10s\n", "app",
-              "rec.iters", "rec.idle", "rec.chunks", "rep.iters", "rep.idle",
-              "rep.chunks", "order.B");
-  hrule(94);
+  // A bar before the native, the record, the replay and the log group.
+  auto Bar = [](unsigned I) { return I == 0 || I == 2 || I == 5 || I == 8; };
+  const char *const Heads[NumWorkCounters] = {
+      "nat.iters", "nat.chunks", "rec.iters",  "rec.idle", "rec.chunks",
+      "rep.iters", "rep.idle",   "rep.chunks", "order.B"};
+  std::printf("%-10s", "app");
+  for (unsigned I = 0; I != NumWorkCounters; ++I)
+    std::printf("%s%10s", Bar(I) ? " | " : " ", Heads[I]);
+  std::printf("\n");
+  hrule(118);
   for (const WorkloadRuns &W : Runs) {
     std::printf("%-10s", nameOf(W.Kind));
-    // A bar before the record, the replay and the log group.
     for (unsigned I = 0; I != NumWorkCounters; ++I)
-      std::printf("%s%10llu", I % 3 == 0 ? " | " : " ",
+      std::printf("%s%10llu", Bar(I) ? " | " : " ",
                   static_cast<unsigned long long>(W.Work[I]));
     std::printf("\n");
   }
-  hrule(94);
-  std::printf("\ncolumns: runtime.{record,replay}.sched.{loop_iterations,"
-              "idle_hops,dispatch_chunks} and "
+  hrule(118);
+  std::printf("\ncolumns: runtime.native.sched.{loop_iterations,"
+              "dispatch_chunks}, runtime.{record,replay}.sched."
+              "{loop_iterations,idle_hops,dispatch_chunks} and "
               "runtime.record.log.order.total.bytes\n");
 }
 
