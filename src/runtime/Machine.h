@@ -72,12 +72,14 @@ struct MachineOptions {
   /// that (as in the paper) benchmarks never time out; tests shrink it.
   uint64_t WeakLockTimeout = 500'000'000;
 
-  /// Upper bound on instructions dispatched to a core per scheduling
-  /// decision. Purely a host-side amortization knob: the batch ends
-  /// early at any point where another core, sleeper wakeup, slice
-  /// expiry, or due checkpoint could be observed, so results (hashes,
-  /// logs, checkpoints, stats) are bit-identical for every value; 1
-  /// reproduces unbatched dispatch instruction for instruction.
+  /// Upper bound on instructions dispatched per scheduling decision,
+  /// counted across the busy cores a batch passes through. Purely a
+  /// host-side amortization knob: the batch follows the lowest-clock
+  /// busy core and ends early at any point where an idle core, sleeper
+  /// wakeup, slice expiry, or due checkpoint could be observed, so
+  /// results (hashes, logs, checkpoints, stats) are bit-identical for
+  /// every value; 1 reproduces unbatched dispatch instruction for
+  /// instruction.
   unsigned DispatchBatch = 64;
 
   /// Hard cap to catch runaway simulations.
@@ -185,20 +187,33 @@ private:
   };
 
   /// Where the idle cores parked behind a dispatch batch would stand if
-  /// they had hopped after every attempt (see stepCore). Parked cores
-  /// with a lower index than the batch's core sit one cycle past the
-  /// clock before the latest attempt; higher-index ones sit Bit cycles
-  /// past it, where Bit flips on each 1-cycle attempt and resets to 1
-  /// on any longer one.
+  /// they had hopped after every attempt, over one run of attempts on
+  /// the same core (see stepCore). Each parked core stands 0 or 1 cycle
+  /// past the lowest busy clock; O is that offset when the run began.
+  /// A parked core with a lower index than the running core sits one
+  /// cycle past the clock before the latest attempt; a higher-index one
+  /// sits F(O) cycles past it, where each attempt composes onto F
+  /// "keep" (0 cycles), "flip" (1 cycle) or "set to 1" (longer).
   struct IdlePhase {
     uint64_t LastStart = 0; ///< Core clock before the latest attempt.
-    bool LastBit = true;    ///< Bit before the latest attempt.
-    bool Bit = true;
+    bool Keep = true, Flip = false; ///< F(O) = (Keep & O) ^ Flip.
+    bool LastKeep = true, LastFlip = false; ///< F before the latest attempt.
     void step(uint64_t From, uint64_t To) {
       LastStart = From;
-      LastBit = Bit;
+      LastKeep = Keep;
+      LastFlip = Flip;
       uint64_t D = To - From;
-      Bit = D == 1 ? !Bit : (D == 0 ? Bit : true);
+      if (D == 1) {
+        Flip = !Flip;
+      } else if (D > 1) {
+        Keep = false;
+        Flip = true;
+      }
+    }
+    /// Where the parked core \p C stood before the latest attempt of a
+    /// run on \p Core, given its offset \p O when the run began.
+    uint64_t lastClock(unsigned C, unsigned Core, uint8_t O) const {
+      return LastStart + (C < Core ? 1 : ((LastKeep & (O != 0)) ^ LastFlip));
     }
   };
 
@@ -206,11 +221,13 @@ private:
   void startThread(uint32_t FuncId, const std::vector<uint64_t> &Args,
                    uint32_t ParentTid, uint64_t Now);
   /// Dispatches up to Opts.DispatchBatch instructions (each preceded by
-  /// pending-op handling) of the thread bound to \p Core, binding a new
-  /// thread first if the core is idle. The batch ends at the first point
-  /// where the main loop's per-instruction observations could differ
-  /// from re-entering it (see the implementation). Returns false when
-  /// the core could make no progress.
+  /// pending-op handling), binding a new thread to \p Core first if the
+  /// core is idle. The batch starts on \p Core and passes to whichever
+  /// busy core holds the lowest (clock, index) key, as the main loop
+  /// would; it ends at the first point where the main loop's
+  /// per-instruction observations could differ from re-entering it (see
+  /// the implementation). Returns false when the core could make no
+  /// progress.
   bool stepCore(unsigned Core);
   /// Does in one pass what the main loop's per-hop iterations would do
   /// when nothing can happen on an idle core: every idle core below the
@@ -253,6 +270,12 @@ private:
                 uint64_t StopTime, uint64_t AttemptStart, IdlePhase &Phase,
                 uint64_t &Retired);
   Step execPending(Thread &T, unsigned Core); ///< Revocations/reacquires.
+  /// False when execPending would return Continue without acting: no
+  /// replayed revocations, no cond-wait mutex, no forced reacquisition.
+  bool hasPending(const Thread &T) const {
+    return HasRevocations || PendingMutex[T.Tid] >= 0 ||
+           !T.PendingReacquire.empty();
+  }
   void advance(Thread &T);          ///< Move past the current instruction.
   uint64_t reg(Thread &T, ir::Reg R) const;
   void setReg(Thread &T, ir::Reg R, uint64_t Value);
@@ -393,8 +416,18 @@ private:
   /// Next Stats.LogEvents threshold at which a checkpoint is emitted
   /// (record mode with a sink and CheckpointEvery > 0; 0 = never).
   uint64_t NextCheckpointAt = 0;
-  /// Idle cores the current dispatch batch does not bound itself by.
-  std::vector<unsigned> ParkedCores;
+  /// An idle core the current dispatch batch parks, with its offset (0
+  /// or 1) past the lowest busy clock when the batch's current run on
+  /// one core began. Parked clocks in Sched are stale until the batch
+  /// writes them back.
+  struct ParkedCore {
+    unsigned Core;
+    uint8_t Offset;
+  };
+  std::vector<ParkedCore> Parked;
+  /// The busy cores of the current dispatch batch (a core that unbinds
+  /// ends the batch, so the set is fixed within one).
+  std::vector<unsigned> BatchBusy;
   /// Replaying a log that contains revocations: machine-side forced
   /// releases must be re-checked before every instruction, so dispatch
   /// batching is disabled.

@@ -307,17 +307,6 @@ void ArtifactCache::insert(ArtifactKind Kind, uint64_t Key,
     ++Inserts;
 }
 
-void ArtifactCache::forEach(
-    ArtifactKind Kind,
-    const std::function<void(uint64_t, const std::vector<uint8_t> &)> &Fn)
-    const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  for (auto It = Entries.lower_bound({static_cast<uint16_t>(Kind), 0});
-       It != Entries.end() && It->first.first == static_cast<uint16_t>(Kind);
-       ++It)
-    Fn(It->first.second, It->second);
-}
-
 size_t ArtifactCache::entryCount() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return Entries.size();

@@ -38,7 +38,6 @@
 #include "support/Metrics.h"
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -97,13 +96,6 @@ public:
   /// existing entry is never overwritten (values are pure functions of
   /// the key, so a second writer's bytes are identical anyway).
   void insert(ArtifactKind Kind, uint64_t Key, std::vector<uint8_t> Bytes);
-
-  /// Calls \p Fn for every entry of \p Kind, in ascending key order,
-  /// under the cache lock (\p Fn must not reenter the cache).
-  void forEach(ArtifactKind Kind,
-               const std::function<void(uint64_t,
-                                        const std::vector<uint8_t> &)> &Fn)
-      const;
 
   size_t entryCount() const;
 

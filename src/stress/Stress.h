@@ -79,7 +79,8 @@ enum class OracleKind {
   CacheFault,
   /// DispatchBatch (and AnalysisJobs) are pure host-speed knobs:
   /// changing them changes no recorded byte — with CheckpointEvery > 0,
-  /// no byte of the streamed file either.
+  /// no byte of the streamed file either — nor the record makespan, nor
+  /// the state, output, or makespan of a native run of the original.
   BatchInvariance,
   /// A log records under one quantum/DispatchBatch and replays under
   /// another: the replay still reproduces the recorded state hash.

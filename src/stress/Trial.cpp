@@ -659,6 +659,10 @@ TrialResult oracleBatchInvariance(const TrialCase &Case) {
   if (R2.Err)
     return fail("record-error: alt-batch: " + R2.Err.message());
 
+  const std::string Batches = "batch=" +
+                              std::to_string(Case.Config.DispatchBatch) +
+                              " vs batch=" +
+                              std::to_string(Case.AltDispatchBatch);
   if (R1.Result.StateHash != R2.Result.StateHash)
     return fail("state-divergence: batch=" +
                 std::to_string(Case.Config.DispatchBatch) + " hash=" +
@@ -667,10 +671,34 @@ TrialResult oracleBatchInvariance(const TrialCase &Case) {
                 hex(R2.Result.StateHash));
   if (R1.Result.Output != R2.Result.Output)
     return fail("output-divergence: DispatchBatch changed program output");
+  if (R1.Result.Stats.MakespanCycles != R2.Result.Stats.MakespanCycles)
+    return fail("timing-divergence: record makespan " +
+                std::to_string(R1.Result.Stats.MakespanCycles) + " vs " +
+                std::to_string(R2.Result.Stats.MakespanCycles) + " at " +
+                Batches);
   if (replay::encodeLog(R1.Result.Log) != replay::encodeLog(R2.Result.Log))
     return fail("log-divergence: DispatchBatch changed the recorded log");
   if (R1.Bytes != R2.Bytes)
     return fail("log-divergence: DispatchBatch changed the streamed file");
+
+  // Native runs of the original program hand their batches from core to
+  // core just like instrumented ones, with no log to pin the schedule,
+  // so they must match at both batch sizes too.
+  rt::ExecutionResult N1 = (*P1)->runOriginalNative(Case.Seed);
+  rt::ExecutionResult N2 = (*P2)->runOriginalNative(Case.Seed);
+  if (N1.Ok != N2.Ok || N1.Error != N2.Error)
+    return fail("native-divergence: outcome '" + N1.Error + "' vs '" +
+                N2.Error + "' at " + Batches);
+  if (N1.StateHash != N2.StateHash)
+    return fail("native-divergence: hash " + hex(N1.StateHash) + " vs " +
+                hex(N2.StateHash) + " at " + Batches);
+  if (N1.Output != N2.Output)
+    return fail("native-divergence: DispatchBatch changed native output");
+  if (N1.Stats.MakespanCycles != N2.Stats.MakespanCycles)
+    return fail("native-divergence: makespan " +
+                std::to_string(N1.Stats.MakespanCycles) + " vs " +
+                std::to_string(N2.Stats.MakespanCycles) + " at " +
+                Batches);
   return pass(R1.Result.StateHash);
 }
 

@@ -2,9 +2,10 @@
 //
 // The dispatch-batch size (MachineOptions::DispatchBatch) is a pure
 // host-speed knob: for every value, native, record, and replay runs must
-// produce bit-identical state hashes, outputs, and encoded logs. This
-// matrix pins that contract across workloads with different sharing
-// structure (condvar work queue, barrier-phased loop-locks).
+// produce bit-identical state hashes, outputs, encoded logs, makespans,
+// quanta, and weak/sync/log counts. This matrix pins that contract on
+// all nine workloads, whose sharing structures differ (condvar work
+// queues, barrier-phased loop-locks, I/O sleepers).
 //
 // The golden tables below pin the schedule itself: every host-side
 // scheduler optimization must leave these simulated results unchanged.
@@ -20,78 +21,150 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <ostream>
 
 using namespace chimera;
 using namespace chimera::workloads;
 
 namespace {
 
-struct ModeResults {
-  uint64_t NativeHash = 0;
-  uint64_t RecordHash = 0;
-  uint64_t ReplayHash = 0;
+/// What one run must reproduce at every batch size: its state and the
+/// timing and work of its schedule. StateHash alone covers memory and
+/// output, so a shifted schedule that computes the same values would
+/// slip past it.
+struct ModeCounts {
+  uint64_t StateHash = 0;
+  uint64_t MakespanCycles = 0;
+  uint64_t Quanta = 0;
   uint64_t Instructions = 0;
+  uint64_t WeakAcquires = 0;
+  uint64_t SyncOps = 0;
+  uint64_t LogEvents = 0;
+  uint64_t Revocations = 0;
+  uint64_t WeakPolls = 0;
+  bool operator==(const ModeCounts &) const = default;
+};
+
+void PrintTo(const ModeCounts &C, std::ostream *OS) {
+  *OS << "{hash " << std::hex << C.StateHash << std::dec << ", makespan "
+      << C.MakespanCycles << ", quanta " << C.Quanta << ", insts "
+      << C.Instructions << ", weak " << C.WeakAcquires << ", sync "
+      << C.SyncOps << ", log " << C.LogEvents << ", revocations "
+      << C.Revocations << ", weak polls " << C.WeakPolls << "}";
+}
+
+struct ModeResults {
+  ModeCounts Native, Record, Replay;
   std::vector<uint64_t> Output;
   std::vector<uint8_t> EncodedLog;
 };
 
+/// \p R's counts; the registry-only ones (quanta, weak polls) are read
+/// from the difference of \p P's metrics across the run.
+ModeCounts countsOf(const rt::ExecutionResult &R, const char *Mode,
+                    const obs::Snapshot &Before,
+                    const core::ChimeraPipeline &P) {
+  EXPECT_TRUE(R.Ok) << Mode << ": " << R.Error;
+  auto After = P.metrics();
+  EXPECT_TRUE(static_cast<bool>(After)) << After.error().message();
+  obs::Snapshot Diff = After ? After->diff(Before) : obs::Snapshot();
+  std::string Prefix = std::string("runtime.") + Mode + ".";
+  ModeCounts C;
+  C.StateHash = R.StateHash;
+  C.MakespanCycles = R.Stats.MakespanCycles;
+  C.Quanta = static_cast<uint64_t>(Diff.value(Prefix + "sched.quanta"));
+  C.Instructions = R.Stats.Instructions;
+  C.WeakAcquires = R.Stats.weakAcquiresTotal();
+  C.SyncOps = R.Stats.SyncOps;
+  C.LogEvents = R.Stats.LogEvents;
+  C.Revocations = R.Stats.Revocations;
+  C.WeakPolls = static_cast<uint64_t>(Diff.value(Prefix + "weak.poll"));
+  return C;
+}
+
 ModeResults runAtBatch(WorkloadKind Kind, unsigned Batch, uint64_t Seed) {
   core::PipelineConfig Cfg;
   Cfg.DispatchBatch = Batch;
-  auto P = buildPipelineEx(Kind, 4, Cfg);
-  EXPECT_TRUE(static_cast<bool>(P)) << P.error().message();
+  Cfg.Observability = obs::ObsMode::Sampled; // Exact counters.
+  auto Built = buildPipelineEx(Kind, 4, Cfg);
+  EXPECT_TRUE(static_cast<bool>(Built)) << Built.error().message();
+  if (!Built)
+    return {};
+  const core::ChimeraPipeline &P = **Built;
+  auto Snap = [&P] { return P.metrics().take(); };
 
   ModeResults R;
-  rt::ExecutionResult Nat = (*P)->runOriginalNative(Seed);
-  EXPECT_TRUE(Nat.Ok) << Nat.Error;
-  R.NativeHash = Nat.StateHash;
-  R.Instructions = Nat.Stats.Instructions;
+  obs::Snapshot Before = Snap();
+  rt::ExecutionResult Nat = (*Built)->runOriginalNative(Seed);
+  R.Native = countsOf(Nat, "native", Before, P);
   R.Output = Nat.Output;
 
-  rt::ExecutionResult Rec = (*P)->record(Seed);
-  EXPECT_TRUE(Rec.Ok) << Rec.Error;
-  R.RecordHash = Rec.StateHash;
+  Before = Snap();
+  rt::ExecutionResult Rec = (*Built)->record(Seed);
+  R.Record = countsOf(Rec, "record", Before, P);
   R.EncodedLog = replay::encodeLog(Rec.Log);
 
-  rt::ExecutionResult Rep = (*P)->replay(Rec.Log);
-  EXPECT_TRUE(Rep.Ok) << Rep.Error;
-  R.ReplayHash = Rep.StateHash;
+  Before = Snap();
+  rt::ExecutionResult Rep = (*Built)->replay(Rec.Log);
+  R.Replay = countsOf(Rep, "replay", Before, P);
   EXPECT_EQ(Rec.StateHash, Rep.StateHash) << "record/replay divergence";
   return R;
 }
 
 void expectMatrixInvariant(WorkloadKind Kind, uint64_t Seed) {
+  const char *Name = workloadInfo(Kind).Name;
   ModeResults Base = runAtBatch(Kind, 1, Seed);
   for (unsigned Batch : {16u, 256u}) {
     ModeResults At = runAtBatch(Kind, Batch, Seed);
-    EXPECT_EQ(Base.NativeHash, At.NativeHash)
-        << workloadInfo(Kind).Name << " native hash drifts at batch "
-        << Batch;
-    EXPECT_EQ(Base.RecordHash, At.RecordHash)
-        << workloadInfo(Kind).Name << " record hash drifts at batch "
-        << Batch;
-    EXPECT_EQ(Base.ReplayHash, At.ReplayHash)
-        << workloadInfo(Kind).Name << " replay hash drifts at batch "
-        << Batch;
-    EXPECT_EQ(Base.Instructions, At.Instructions)
-        << workloadInfo(Kind).Name << " instruction count drifts at batch "
-        << Batch;
+    EXPECT_EQ(Base.Native, At.Native)
+        << Name << " native run drifts at batch " << Batch;
+    EXPECT_EQ(Base.Record, At.Record)
+        << Name << " record run drifts at batch " << Batch;
+    EXPECT_EQ(Base.Replay, At.Replay)
+        << Name << " replay run drifts at batch " << Batch;
     EXPECT_EQ(Base.Output, At.Output)
-        << workloadInfo(Kind).Name << " output drifts at batch " << Batch;
+        << Name << " output drifts at batch " << Batch;
     EXPECT_EQ(Base.EncodedLog, At.EncodedLog)
-        << workloadInfo(Kind).Name
-        << " encoded log is not byte-identical at batch " << Batch;
+        << Name << " encoded log is not byte-identical at batch " << Batch;
   }
 }
 
 } // namespace
 
+TEST(DeterminismMatrix, AgetBatchInvariant) {
+  expectMatrixInvariant(WorkloadKind::Aget, 2012);
+}
+
 TEST(DeterminismMatrix, PfscanBatchInvariant) {
   expectMatrixInvariant(WorkloadKind::Pfscan, 2012);
 }
 
+TEST(DeterminismMatrix, Pbzip2BatchInvariant) {
+  expectMatrixInvariant(WorkloadKind::Pbzip2, 2012);
+}
+
+TEST(DeterminismMatrix, KnotBatchInvariant) {
+  expectMatrixInvariant(WorkloadKind::Knot, 2012);
+}
+
+TEST(DeterminismMatrix, ApacheBatchInvariant) {
+  expectMatrixInvariant(WorkloadKind::Apache, 2012);
+}
+
+TEST(DeterminismMatrix, OceanBatchInvariant) {
+  expectMatrixInvariant(WorkloadKind::Ocean, 2012);
+}
+
+TEST(DeterminismMatrix, WaterBatchInvariant) {
+  expectMatrixInvariant(WorkloadKind::Water, 2012);
+}
+
 TEST(DeterminismMatrix, FftBatchInvariant) {
   expectMatrixInvariant(WorkloadKind::Fft, 2012);
+}
+
+TEST(DeterminismMatrix, RadixBatchInvariant) {
+  expectMatrixInvariant(WorkloadKind::Radix, 2012);
 }
 
 TEST(DeterminismMatrix, RadixBatchInvariantSecondSeed) {

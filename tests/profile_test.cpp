@@ -5,6 +5,7 @@
 #include "profile/CliqueAnalysis.h"
 #include "profile/Profiler.h"
 #include "runtime/Machine.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -129,6 +130,54 @@ struct Fig3 {
 };
 
 } // namespace
+
+namespace {
+
+struct ProfiledRun {
+  ProfileData Data;
+  uint64_t StateHash = 0;
+  uint64_t MakespanCycles = 0;
+};
+
+ProfiledRun profileRun(const ir::Module &M, unsigned Cores, unsigned Batch,
+                       uint64_t Seed) {
+  ConcurrencyProfiler Prof;
+  rt::MachineOptions MO;
+  MO.Seed = Seed;
+  MO.NumCores = Cores;
+  MO.DispatchBatch = Batch;
+  MO.Observer = &Prof;
+  rt::ExecutionResult R = rt::Machine(M, MO).run();
+  EXPECT_TRUE(R.Ok) << R.Error;
+  return {Prof.finish(), R.StateHash, R.Stats.MakespanCycles};
+}
+
+} // namespace
+
+// The profile stage runs with an observer attached, so every attempt
+// goes through execInstruction; dispatch batches hand from core to core
+// on that path too. The pipeline pins the profile stage at the default
+// batch, so this is the only check that the planner's input does not
+// depend on the batch size.
+TEST(Profiler, ProfileDataIsBatchInvariantOnEveryWorkload) {
+  const uint64_t Seed = core::PipelineConfig().ProfileSeedBase;
+  for (workloads::WorkloadKind K : workloads::allWorkloads()) {
+    const char *Name = workloads::workloadInfo(K).Name;
+    core::PipelineRequest Req = workloads::pipelineRequest(K, 4);
+    auto M = test::compileOrNull(Req.Profile.empty() ? Req.Eval : Req.Profile,
+                                 Name);
+    ASSERT_NE(M, nullptr) << Name;
+    for (unsigned Cores : {2u, 8u}) {
+      ProfiledRun One = profileRun(*M, Cores, 1, Seed);
+      ProfiledRun Many = profileRun(*M, Cores, 64, Seed);
+      EXPECT_EQ(One.Data.ConcurrentPairs, Many.Data.ConcurrentPairs)
+          << Name << " on " << Cores << " cores";
+      EXPECT_EQ(One.StateHash, Many.StateHash) << Name << " on " << Cores;
+      EXPECT_EQ(One.MakespanCycles, Many.MakespanCycles)
+          << Name << " on " << Cores << " cores";
+    }
+  }
+}
 
 TEST(Cliques, Figure3Assignment) {
   Fig3 Fx;

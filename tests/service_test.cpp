@@ -74,15 +74,23 @@ std::unique_ptr<core::ChimeraPipeline> populate(ArtifactCache &Cache) {
   return P.take();
 }
 
-/// Every entry currently in \p Cache, keyed by (kind, key).
+/// Every entry currently in \p Cache, keyed by (kind, key): the keys
+/// come from the entry headers of its canonical CART1 image (entries sit
+/// back to back after the file header), the bytes from lookup().
 std::map<std::pair<uint16_t, uint64_t>, std::vector<uint8_t>>
 entriesOf(const ArtifactCache &Cache) {
   std::map<std::pair<uint16_t, uint64_t>, std::vector<uint8_t>> Out;
-  Cache.forEach(ArtifactKind::Plan,
-                [&](uint64_t Key, const std::vector<uint8_t> &Bytes) {
-                  Out[{static_cast<uint16_t>(ArtifactKind::Plan), Key}] =
-                      Bytes;
-                });
+  const std::vector<uint8_t> Image = Cache.serialize();
+  for (size_t At = CacheHeaderBytes; At + EntryHeaderBytes <= Image.size();) {
+    const uint8_t *Header = Image.data() + At;
+    uint16_t Kind = replay::readLe16(Header + 4);
+    uint64_t Key = replay::readLe64(Header + 8);
+    std::vector<uint8_t> &Bytes = Out[{Kind, Key}];
+    EXPECT_TRUE(Cache.lookup(static_cast<ArtifactKind>(Kind), Key, Bytes))
+        << "serialized entry " << Key << " is not in the cache";
+    At += EntryHeaderBytes + replay::readLe32(Header + 16);
+  }
+  EXPECT_EQ(Out.size(), Cache.entryCount());
   return Out;
 }
 
