@@ -3,7 +3,8 @@
 // Micro-benchmarks for the substrate primitives: weak-lock manager
 // operations, vector clocks, the log codec and compressor, the clique
 // cover, and end-to-end interpreter throughput. These are host-time
-// benchmarks (the table/figure binaries report simulated cycles).
+// benchmarks (bench/paper reports simulated cycles; perfbench measures
+// end-to-end host time).
 //
 //===----------------------------------------------------------------------===//
 

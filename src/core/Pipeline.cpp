@@ -371,24 +371,6 @@ void ChimeraPipeline::setPlannerOptions(
   LockOrderCell.reset();
 }
 
-void ChimeraPipeline::setMhpMode(analysis::MhpMode Mode) {
-  Config.Mhp = Mode;
-  MhpCell.reset();
-  Races.reset();
-  Plan.reset();
-  Instrumented.reset();
-  Audit.reset();
-  LockOrderCell.reset();
-}
-
-void ChimeraPipeline::setLockOrderMode(analysis::LockOrderMode Mode) {
-  Config.LockOrder = Mode;
-  Plan.reset();
-  Instrumented.reset();
-  Audit.reset();
-  LockOrderCell.reset();
-}
-
 void ChimeraPipeline::corruptPlanForTest(
     std::function<void(instrument::InstrumentationPlan &)> Fn) {
   PlanCorruptor = std::move(Fn);

@@ -115,15 +115,6 @@ public:
   /// accessors — reconfigure between, not during, analyses.
   void setPlannerOptions(const instrument::PlannerOptions &Opts);
 
-  /// Switches the MHP filter mode (invalidates the race report and every
-  /// downstream stage). Same thread-safety caveat as setPlannerOptions.
-  void setMhpMode(analysis::MhpMode Mode);
-
-  /// Switches the lock-order mode (invalidates the plan and downstream
-  /// stages — Enforce may rewrite the lock table). Same thread-safety
-  /// caveat as setPlannerOptions.
-  void setLockOrderMode(analysis::LockOrderMode Mode);
-
   /// Test-only hook: mutates the plan right after planning, before
   /// instrumentation and audit, so tests can prove the auditor rejects
   /// corrupted plans. Invalidates the plan and downstream stages.

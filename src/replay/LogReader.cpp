@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <cstring>
 
 using namespace chimera;
@@ -95,23 +94,6 @@ LogReader LogReader::fork() const {
   R.HaveFooter = HaveFooter;
   R.FooterEntries = FooterEntries;
   return R;
-}
-
-Expected<LogReader> LogReader::openFile(const std::string &Path,
-                                        Options Opts) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return Error::failure("cannot open '" + Path + "' for reading");
-  std::vector<uint8_t> Bytes;
-  uint8_t Buf[1 << 16];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Bytes.insert(Bytes.end(), Buf, Buf + N);
-  bool ReadError = std::ferror(F) != 0;
-  std::fclose(F);
-  if (ReadError)
-    return Error::failure("read failed on '" + Path + "'");
-  return open(std::move(Bytes), Opts);
 }
 
 //===----------------------------------------------------------------------===//

@@ -135,9 +135,6 @@ public:
   /// back to the legacy monolithic format).
   static support::Expected<LogReader> open(std::vector<uint8_t> Bytes,
                                            Options Opts);
-  /// Reads \p Path fully into memory, then open().
-  static support::Expected<LogReader> openFile(const std::string &Path,
-                                               Options Opts);
 
   LogReader(LogReader &&) = default;
   LogReader &operator=(LogReader &&) = default;

@@ -2,7 +2,10 @@
 //
 // Implements Machine's instruction dispatch and the pre-instruction
 // pending-operation handling (cond-wait mutex reacquisition, forced
-// weak-lock release/reacquisition after revocations).
+// weak-lock release/reacquisition after revocations). execFast is the
+// one interpreter of the pure opcodes (ALU, memory, branch, call, ret),
+// with or without an observer; execInstruction runs the scheduler- and
+// log-visible ones.
 //
 // Dispatch runs over the pre-decoded program (Decoded.h): the current
 // frame holds a DecodedFunction pointer plus a flat instruction index, so
@@ -210,31 +213,11 @@ uint64_t evalBinary(BinOp Op, uint64_t A, uint64_t B, bool &DivByZero) {
 
 } // namespace
 
-Machine::Step Machine::finishFrame(Thread &T, uint64_t RetValue,
-                                   bool HasValue, uint64_t Now) {
-  Frame Callee = std::move(T.Stack.back());
-  T.Stack.pop_back();
-  ++T.Instret;
-  ++Stats.Instructions;
-  if (Opts.Observer)
-    Opts.Observer->onFunctionExit(T.Tid, Callee.func().Index, Now);
-
-  if (T.Stack.empty()) {
-    T.RetValue = HasValue ? RetValue : 0;
-    finishThread(T, Now);
-    return Step::Finished;
-  }
-
-  if (Callee.RetDst != NoReg) {
-    assert(HasValue && "value-expecting call returned void");
-    T.frame().Regs[Callee.RetDst] = RetValue;
-  }
-  return Step::Continue;
-}
-
-Machine::Step Machine::execFast(Thread &T, unsigned Core, uint64_t MaxInsts,
-                                uint64_t StopTime, uint64_t AttemptStart,
-                                IdlePhase &Phase, uint64_t &Retired) {
+template <bool Observed>
+[[gnu::always_inline]] inline Machine::Step
+Machine::execChunk(Thread &T, unsigned Core, uint64_t MaxInsts,
+                   uint64_t StopTime, uint64_t AttemptStart, IdlePhase &Phase,
+                   uint64_t &Retired) {
   Frame *F = &T.frame();
   const DecodedInst *Insts = F->DFunc->Insts.data();
   uint64_t *Regs = F->Regs.data();
@@ -257,6 +240,9 @@ Machine::Step Machine::execFast(Thread &T, unsigned Core, uint64_t MaxInsts,
                  CCall = Opts.Costs.Call, CRet = Opts.Costs.Ret,
                  CAlloc = Opts.Costs.AllocOp;
   Memory::View MV = Mem.view();
+  // Callbacks get the pre-charge clock and read no machine state, which
+  // is written back only when the chunk ends (Observer.h).
+  ExecutionObserver *const Obs = Opts.Observer;
 
   uint64_t N = 0; ///< Instructions retired this chunk.
   uint64_t MemOps = 0;
@@ -324,7 +310,8 @@ Machine::Step Machine::execFast(Thread &T, unsigned Core, uint64_t MaxInsts,
       break;
 
     case Opcode::Load: {
-      const uint64_t *P = MV.access(Regs[I.A]);
+      const uint64_t Addr = Regs[I.A]; // Dst may be the address register.
+      const uint64_t *P = MV.access(Addr);
       if (!P) {
         fail("invalid load address in " + F->func().Name + " (line " +
              std::to_string(I.Line) + ")");
@@ -333,13 +320,17 @@ Machine::Step Machine::execFast(Thread &T, unsigned Core, uint64_t MaxInsts,
       }
       Regs[I.Dst] = *P;
       ++MemOps;
+      if constexpr (Observed)
+        Obs->onMemoryAccess(T.Tid, Addr, /*IsWrite=*/false, F->func().Index,
+                            I.Ident, Time);
       Time += CLoad;
       ++Ip;
       break;
     }
 
     case Opcode::Store: {
-      uint64_t *P = MV.access(Regs[I.A]);
+      const uint64_t Addr = Regs[I.A];
+      uint64_t *P = MV.access(Addr);
       if (!P) {
         fail("invalid store address in " + F->func().Name + " (line " +
              std::to_string(I.Line) + ")");
@@ -348,6 +339,9 @@ Machine::Step Machine::execFast(Thread &T, unsigned Core, uint64_t MaxInsts,
       }
       *P = Regs[I.B];
       ++MemOps;
+      if constexpr (Observed)
+        Obs->onMemoryAccess(T.Tid, Addr, /*IsWrite=*/true, F->func().Index,
+                            I.Ident, Time);
       Time += CStore;
       ++Ip;
       break;
@@ -388,6 +382,8 @@ Machine::Step Machine::execFast(Thread &T, unsigned Core, uint64_t MaxInsts,
       for (uint16_t J = 0; J != I.ArgsLen; ++J)
         NewFrame.Regs[J] = Regs[Args[J]];
       NewFrame.RetDst = I.Dst;
+      if constexpr (Observed)
+        Obs->onFunctionEnter(T.Tid, Callee.Src->Index, Time);
       Time += CCall;
       F->Ip = Ip + 1; // Caller resumes after the call.
       T.Stack.push_back(std::move(NewFrame));
@@ -402,13 +398,15 @@ Machine::Step Machine::execFast(Thread &T, unsigned Core, uint64_t MaxInsts,
     case Opcode::Ret: {
       bool HasValue = I.A != NoReg;
       uint64_t Value = HasValue ? Regs[I.A] : 0;
-      uint64_t Now = Time; // finishFrame sees the pre-charge clock.
+      uint64_t Now = Time; // Pre-charge clock, as for the finish below.
+      if constexpr (Observed)
+        Obs->onFunctionExit(T.Tid, F->func().Index, Now);
       Time += CRet;
       ir::Reg RetDst = F->RetDst;
       T.Stack.pop_back();
       if (T.Stack.empty()) {
         T.RetValue = HasValue ? Value : 0;
-        ++N; // The return retires (finishFrame's accounting).
+        ++N; // The return retires.
         ThreadDone = true;
         FinishNow = Now;
         Result = Step::Finished;
@@ -457,149 +455,24 @@ done:
   return Result;
 }
 
+Machine::Step Machine::execFast(Thread &T, unsigned Core, uint64_t MaxInsts,
+                                uint64_t StopTime, uint64_t AttemptStart,
+                                IdlePhase &Phase, uint64_t &Retired) {
+  // GCC does not split cold code out of a template instantiation (a
+  // COMDAT function); in this ordinary function it moves the fault paths
+  // out of both loops.
+  return Opts.Observer ? execChunk<true>(T, Core, MaxInsts, StopTime,
+                                         AttemptStart, Phase, Retired)
+                       : execChunk<false>(T, Core, MaxInsts, StopTime,
+                                          AttemptStart, Phase, Retired);
+}
+
 Machine::Step Machine::execInstruction(Thread &T, unsigned Core) {
   Frame &F = T.frame();
   assert(F.Ip < F.DFunc->Insts.size() && "instruction index out of range");
   const DecodedInst &Inst = F.DFunc->Insts[F.Ip];
-  uint64_t Now = Sched.coreTime(Core);
-
-  auto charge = [&](uint64_t Cycles) {
-    Sched.advanceCore(Core, Cycles);
-    Stats.CpuBusyCycles += Cycles;
-  };
 
   switch (Inst.Op) {
-  case Opcode::ConstInt:
-    setReg(T, Inst.Dst, Inst.Imm); // Cast to a word at decode time.
-    charge(Opts.Costs.Alu);
-    advance(T);
-    return Step::Continue;
-
-  case Opcode::Move:
-    setReg(T, Inst.Dst, reg(T, Inst.A));
-    charge(Opts.Costs.Alu);
-    advance(T);
-    return Step::Continue;
-
-  case Opcode::Unary: {
-    uint64_t A = reg(T, Inst.A);
-    uint64_t V = static_cast<UnOp>(Inst.Sub) == UnOp::Neg
-                     ? static_cast<uint64_t>(-static_cast<int64_t>(A))
-                     : static_cast<uint64_t>(A == 0);
-    setReg(T, Inst.Dst, V);
-    charge(Opts.Costs.Alu);
-    advance(T);
-    return Step::Continue;
-  }
-
-  case Opcode::Binary: {
-    bool DivByZero = false;
-    uint64_t V = evalBinary(static_cast<BinOp>(Inst.Sub), reg(T, Inst.A),
-                            reg(T, Inst.B), DivByZero);
-    if (DivByZero) {
-      fail("division by zero in " + F.func().Name + " (line " +
-           std::to_string(Inst.Line) + ")");
-      return Step::Fault;
-    }
-    setReg(T, Inst.Dst, V);
-    charge(Opts.Costs.Alu);
-    advance(T);
-    return Step::Continue;
-  }
-
-  case Opcode::AddrGlobal: {
-    // Inst.Imm is the global's laid-out base address (resolved at decode).
-    uint64_t Addr = Inst.Imm;
-    if (Inst.A != NoReg)
-      Addr += reg(T, Inst.A);
-    setReg(T, Inst.Dst, Addr);
-    charge(Opts.Costs.Alu);
-    advance(T);
-    return Step::Continue;
-  }
-
-  case Opcode::PtrAdd:
-    setReg(T, Inst.Dst, reg(T, Inst.A) + reg(T, Inst.B));
-    charge(Opts.Costs.Alu);
-    advance(T);
-    return Step::Continue;
-
-  case Opcode::Load: {
-    uint64_t Addr = reg(T, Inst.A);
-    // One address classification serves both the bounds check and the
-    // access; a null return faults deterministically in all build types.
-    const uint64_t *P = Mem.access(Addr);
-    if (!P) {
-      fail("invalid load address in " + F.func().Name + " (line " +
-           std::to_string(Inst.Line) + ")");
-      return Step::Fault;
-    }
-    setReg(T, Inst.Dst, *P);
-    ++Stats.MemOps;
-    charge(Opts.Costs.Load);
-    if (Opts.Observer)
-      Opts.Observer->onMemoryAccess(T.Tid, Addr, /*IsWrite=*/false,
-                                    F.func().Index, Inst.Ident, Now);
-    advance(T);
-    return Step::Continue;
-  }
-
-  case Opcode::Store: {
-    uint64_t Addr = reg(T, Inst.A);
-    uint64_t *P = Mem.access(Addr);
-    if (!P) {
-      fail("invalid store address in " + F.func().Name + " (line " +
-           std::to_string(Inst.Line) + ")");
-      return Step::Fault;
-    }
-    *P = reg(T, Inst.B);
-    ++Stats.MemOps;
-    charge(Opts.Costs.Store);
-    if (Opts.Observer)
-      Opts.Observer->onMemoryAccess(T.Tid, Addr, /*IsWrite=*/true,
-                                    F.func().Index, Inst.Ident, Now);
-    advance(T);
-    return Step::Continue;
-  }
-
-  case Opcode::Br:
-    F.Ip = Inst.Succ0;
-    ++T.Instret;
-    ++Stats.Instructions;
-    charge(Opts.Costs.Branch);
-    return Step::Continue;
-
-  case Opcode::CondBr:
-    F.Ip = reg(T, Inst.A) != 0 ? Inst.Succ0 : Inst.Succ1;
-    ++T.Instret;
-    ++Stats.Instructions;
-    charge(Opts.Costs.Branch);
-    return Step::Continue;
-
-  case Opcode::Ret: {
-    bool HasValue = Inst.A != NoReg;
-    uint64_t Value = HasValue ? reg(T, Inst.A) : 0;
-    charge(Opts.Costs.Ret);
-    return finishFrame(T, Value, HasValue, Now);
-  }
-
-  case Opcode::Call: {
-    const DecodedFunction &Callee = Prog.function(Inst.Id);
-    Frame NewFrame;
-    NewFrame.DFunc = &Callee;
-    NewFrame.Regs.assign(Callee.Src->NumRegs, 0);
-    const Reg *Args = F.DFunc->ArgPool.data() + Inst.ArgsIdx;
-    for (uint16_t I = 0; I != Inst.ArgsLen; ++I)
-      NewFrame.Regs[I] = reg(T, Args[I]);
-    NewFrame.RetDst = Inst.Dst;
-    charge(Opts.Costs.Call);
-    advance(T); // Caller resumes after the call.
-    T.Stack.push_back(std::move(NewFrame));
-    if (Opts.Observer)
-      Opts.Observer->onFunctionEnter(T.Tid, Callee.Src->Index, Now);
-    return Step::Continue;
-  }
-
   case Opcode::Spawn:
     return doSpawn(T, Inst, Core);
 
@@ -619,19 +492,6 @@ Machine::Step Machine::execInstruction(Thread &T, unsigned Core) {
   case Opcode::CondBroadcast:
     return doCondSignal(T, Inst.Id, /*Broadcast=*/true, Core);
 
-  case Opcode::Alloc: {
-    uint64_t Words = reg(T, Inst.A);
-    uint64_t Addr = Mem.allocate(Words);
-    if (!Addr) {
-      fail("heap exhausted allocating " + std::to_string(Words) + " words");
-      return Step::Fault;
-    }
-    setReg(T, Inst.Dst, Addr);
-    charge(Opts.Costs.AllocOp);
-    advance(T);
-    return Step::Continue;
-  }
-
   case Opcode::Input:
     return doInputOp(T, InputKind::Input, Inst.Dst, Core);
   case Opcode::NetRecv:
@@ -642,7 +502,8 @@ Machine::Step Machine::execInstruction(Thread &T, unsigned Core) {
     return doOutput(T, reg(T, Inst.A), Core);
 
   case Opcode::Yield:
-    charge(Opts.Costs.Alu);
+    Sched.advanceCore(Core, Opts.Costs.Alu);
+    Stats.CpuBusyCycles += Opts.Costs.Alu;
     advance(T);
     return Step::Yielded;
 
@@ -657,7 +518,10 @@ Machine::Step Machine::execInstruction(Thread &T, unsigned Core) {
   case Opcode::WeakRelease:
     return doWeakRelease(T, static_cast<uint32_t>(Inst.Imm), Core,
                          /*Forced=*/false);
+
+  default:
+    break; // Pure opcodes are execFast's.
   }
-  assert(false && "unhandled opcode");
+  assert(false && "pure opcode reached execInstruction");
   return Step::Fault;
 }

@@ -701,18 +701,17 @@ bool Machine::stepCore(unsigned Core) {
   const uint64_t NextWake =
       SleepingThreads && Batch > 1 ? nextWakeTime() : UINT64_MAX;
 
-  // With no observer attached, straight-line runs of pure instructions
-  // go through execFast, which retires a whole chunk with machine state
-  // hoisted into locals. A chunk of R retired instructions stands for R
-  // dispatch attempts of the pre-batching loop (execPending is provably
-  // vacuous between pure instructions: nothing in a chunk can set a
-  // pending mutex or reacquisition, and replay-with-revocations forces
-  // Batch = 1). The chunk bound keeps every per-attempt observation
-  // intact: it never crosses the batch end, a weak-poll tick boundary,
-  // the instruction budget, or a due checkpoint, and execFast itself
-  // stops the moment the core clock reaches the earliest of the run's
-  // limits, the next wake and the slice end.
-  const bool FastPath = Opts.Observer == nullptr;
+  // Straight-line runs of pure instructions go through execFast, which
+  // retires a whole chunk with machine state hoisted into locals (and
+  // reports to the observer, if any). A chunk of R retired instructions
+  // stands for R dispatch attempts of the pre-batching loop (execPending
+  // is provably vacuous between pure instructions: nothing in a chunk
+  // can set a pending mutex or reacquisition, and replay-with-revocations
+  // forces Batch = 1). The chunk bound keeps every per-attempt
+  // observation intact: it never crosses the batch end, a weak-poll tick
+  // boundary, the instruction budget, or a due checkpoint, and execFast
+  // itself stops the moment the core clock reaches the earliest of the
+  // run's limits, the next wake and the slice end.
 
   // Epoch fence: the boundary snapshot pins the retired-instruction
   // count at which each thread must freeze. The check runs before every
@@ -729,32 +728,27 @@ bool Machine::stepCore(unsigned Core) {
     if (S == Step::Continue && T->Instret >= StopTarget)
       S = parkAtEpochEnd(*T, Core);
     else if (S == Step::Continue) {
-      if (FastPath) {
-        uint64_t CountLimit = Batch;
-        if (PollWeak)
-          CountLimit = std::min(CountLimit, 64 - (WeakCheckTick & 0x3f));
-        CountLimit = std::min(CountLimit,
-                              Opts.MaxInstructions + 1 - Stats.Instructions);
-        if (StopTarget != UINT64_MAX)
-          CountLimit = std::min(CountLimit, StopTarget - T->Instret);
-        // The pending ops logged a checkpoint's event: this attempt, and
-        // with it the batch, ends after one instruction.
-        if (checkpointDue())
-          CountLimit = 1;
-        uint64_t StopTime =
-            std::min({BusyLimit, IdleLimit, MatureLimit, NextWake,
-                      CoreSliceEnd[Core]});
-        uint64_t Retired = 0;
-        S = execFast(*T, Core, CountLimit, StopTime, AttemptStart, Phase,
-                     Retired);
-        if (Retired == 0 && S == Step::Continue) {
-          S = execInstruction(*T, Core); // Non-fast op heads the chunk.
-        } else {
-          Attempts = Retired + (S == Step::Fault ? 1 : 0);
-          PhaseDone = true;
-        }
+      uint64_t CountLimit = Batch;
+      if (PollWeak)
+        CountLimit = std::min(CountLimit, 64 - (WeakCheckTick & 0x3f));
+      CountLimit = std::min(CountLimit,
+                            Opts.MaxInstructions + 1 - Stats.Instructions);
+      if (StopTarget != UINT64_MAX)
+        CountLimit = std::min(CountLimit, StopTarget - T->Instret);
+      // The pending ops logged a checkpoint's event: this attempt, and
+      // with it the batch, ends after one instruction.
+      if (checkpointDue())
+        CountLimit = 1;
+      uint64_t StopTime = std::min(
+          {BusyLimit, IdleLimit, MatureLimit, NextWake, CoreSliceEnd[Core]});
+      uint64_t Retired = 0;
+      S = execFast(*T, Core, CountLimit, StopTime, AttemptStart, Phase,
+                   Retired);
+      if (Retired == 0 && S == Step::Continue) {
+        S = execInstruction(*T, Core); // A visible op heads the chunk.
       } else {
-        S = execInstruction(*T, Core);
+        Attempts = Retired + (S == Step::Fault ? 1 : 0);
+        PhaseDone = true;
       }
     }
     if (!PhaseDone)

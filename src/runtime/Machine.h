@@ -75,11 +75,13 @@ struct MachineOptions {
   /// Upper bound on instructions dispatched per scheduling decision,
   /// counted across the busy cores a batch passes through. Purely a
   /// host-side amortization knob: the batch follows the lowest-clock
-  /// busy core and ends early at any point where an idle core, sleeper
-  /// wakeup, slice expiry, or due checkpoint could be observed, so
-  /// results (hashes, logs, checkpoints, stats) are bit-identical for
-  /// every value; 1 reproduces unbatched dispatch instruction for
-  /// instruction.
+  /// busy core and ends early at any point where a sleeper wakeup, slice
+  /// expiry, due checkpoint, newly ready thread, maturing weak wait, or
+  /// an idle core that is not parked could be observed (idle cores that
+  /// can only hop behind the lowest busy clock are parked and written
+  /// back where they would stand), so results (hashes, logs,
+  /// checkpoints, stats) are bit-identical for every value; 1
+  /// reproduces unbatched dispatch instruction for instruction.
   unsigned DispatchBatch = 64;
 
   /// Hard cap to catch runaway simulations.
@@ -117,12 +119,12 @@ struct MachineOptions {
 
   /// Observability sinks (both optional, both host-side only).
   ///
-  /// Unlike \c Observer, attaching these does NOT disable the execFast
-  /// dispatch path: metrics are collected into plain per-machine
-  /// counters at points the generic path already visits (sync ops, log
-  /// appends, scheduling decisions) and published to the registry once
-  /// at the end of run(). Nothing here feeds back into simulated state,
-  /// so logs, hashes, and stats are bit-identical with or without them.
+  /// Unlike \c Observer, these add nothing to execFast's loop: metrics
+  /// are collected into plain per-machine counters at points the
+  /// generic path already visits (sync ops, log appends, scheduling
+  /// decisions) and published to the registry once at the end of
+  /// run(). Nothing here feeds back into simulated state, so logs,
+  /// hashes, and stats are bit-identical with or without them.
   obs::Registry *Metrics = nullptr;
   obs::TraceRecorder *Trace = nullptr;
 };
@@ -256,19 +258,29 @@ private:
   bool epochComplete();
 
   // -- Per-instruction execution (Interpreter.cpp).
+  /// Executes one scheduler- or log-visible instruction (sync, spawn,
+  /// join, I/O, yield, weak-lock); the pure opcodes are execFast's.
   Step execInstruction(Thread &T, unsigned Core);
-  /// Fast path: retires up to \p MaxInsts straight-line instructions
-  /// (ALU/memory/branch/call/ret — nothing scheduler- or log-visible)
-  /// with frame, register file, and core clock hoisted into locals,
-  /// stopping early once the core clock reaches \p StopTime or the next
-  /// opcode needs the generic path. \p Retired reports the count; state
-  /// is written back exactly as if each instruction had been dispatched
-  /// individually. Only called when no observer is attached.
+  /// The interpreter of the pure opcodes: retires up to \p MaxInsts
+  /// straight-line instructions (ALU/memory/branch/call/ret — nothing
+  /// scheduler- or log-visible) with frame, register file, and core
+  /// clock hoisted into locals, stopping early once the core clock
+  /// reaches \p StopTime or the next opcode needs execInstruction.
+  /// \p Retired reports the count; state is written back exactly as if
+  /// each instruction had been dispatched individually. With an observer
+  /// attached, each memory access, call and return is reported to it.
   /// Each retired instruction (and a faulting one) is one dispatch
   /// attempt for \p Phase; the first attempt began at \p AttemptStart.
   Step execFast(Thread &T, unsigned Core, uint64_t MaxInsts,
                 uint64_t StopTime, uint64_t AttemptStart, IdlePhase &Phase,
                 uint64_t &Retired);
+  /// execFast's loop, inlined into it once per value of \p Observed
+  /// (Opts.Observer != nullptr), so the unobserved loop has no observer
+  /// code at all.
+  template <bool Observed>
+  Step execChunk(Thread &T, unsigned Core, uint64_t MaxInsts,
+                 uint64_t StopTime, uint64_t AttemptStart, IdlePhase &Phase,
+                 uint64_t &Retired);
   Step execPending(Thread &T, unsigned Core); ///< Revocations/reacquires.
   /// False when execPending would return Continue without acting: no
   /// replayed revocations, no cond-wait mutex, no forced reacquisition.
@@ -279,8 +291,6 @@ private:
   void advance(Thread &T);          ///< Move past the current instruction.
   uint64_t reg(Thread &T, ir::Reg R) const;
   void setReg(Thread &T, ir::Reg R, uint64_t Value);
-  Step finishFrame(Thread &T, uint64_t RetValue, bool HasValue,
-                   uint64_t Now);
 
   // -- Ordered-object helpers (Machine.cpp).
   /// Record mode: appends (Tid, Op) to the object's order log.
@@ -412,7 +422,9 @@ private:
   std::vector<uint64_t> CoreSliceEnd;
   unsigned SleepingThreads = 0;
   unsigned LiveThreads = 0;   ///< Threads not yet Finished (O(1) allFinished).
-  uint64_t WeakCheckTick = 0; ///< Weak-timeout cadence (one per instruction).
+  /// Weak-timeout cadence: one tick per dispatch attempt (an execFast
+  /// chunk of R instructions is R attempts), a poll every 64 ticks.
+  uint64_t WeakCheckTick = 0;
   /// Next Stats.LogEvents threshold at which a checkpoint is emitted
   /// (record mode with a sink and CheckpointEvery > 0; 0 = never).
   uint64_t NextCheckpointAt = 0;

@@ -32,11 +32,12 @@ public:
   bool valid(uint64_t Addr) const { return access(Addr) != nullptr; }
 
   /// Maps \p Addr to its backing word, or null when the address is not
-  /// in the global segment or the allocated heap. This is the
-  /// interpreter's accessor: one classification serves both the bounds
-  /// check and the access, and an invalid address is reported by the
-  /// null return in every build type (never by a vanishing assert), so
-  /// wild loads/stores become a deterministic Step::Fault.
+  /// in the global segment or the allocated heap. One classification
+  /// serves both the bounds check and the access, and an invalid address
+  /// is reported by the null return in every build type (never by a
+  /// vanishing assert); the interpreter uses the same classification
+  /// through View, so wild loads/stores become a deterministic
+  /// Step::Fault.
   const uint64_t *access(uint64_t Addr) const {
     // Unsigned wrap makes the two range checks single comparisons.
     uint64_t GlobalOff = Addr - ir::Module::GlobalBase;

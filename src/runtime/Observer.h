@@ -6,9 +6,13 @@
 ///
 /// \file
 /// Callback interface through which the profiler (paper §4) and the
-/// dynamic race detector observe a simulated execution. The machine
-/// invokes these between instructions, so observers may inspect but not
-/// mutate machine state.
+/// dynamic race detector observe a simulated execution. Each callback
+/// carries everything an observer learns: the thread, the object, and
+/// \p Now, the issuing core's clock before the event's own cost. Calls
+/// come in simulated execution order, but machine state (counters,
+/// clocks, registers) is written back only at the end of a dispatch
+/// chunk, so an observer must not read it from inside a callback, and
+/// must never mutate it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,7 +49,7 @@ public:
   virtual void onThreadStart(uint32_t Tid, uint32_t ParentTid,
                              uint32_t FuncId, uint64_t Now);
 
-  /// \p Tid finished; \p JoinerTid joined it (~0u if nobody has yet).
+  /// \p Tid finished (its joiner, if any, is reported by onJoin).
   virtual void onThreadFinish(uint32_t Tid, uint64_t Now);
 
   /// \p ParentTid's join on \p ChildTid completed.

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 
 using namespace chimera;
 using namespace chimera::service;
@@ -314,8 +315,7 @@ size_t ArtifactCache::entryCount() const {
 
 std::vector<uint8_t> ArtifactCache::serialize() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  std::vector<uint8_t> Out;
-  Out.insert(Out.end(), CacheMagic, CacheMagic + 4);
+  std::vector<uint8_t> Out(std::begin(CacheMagic), std::end(CacheMagic));
   replay::appendLe16(Out, CacheFormatVersion);
   replay::appendLe16(Out, 0); // Flags, reserved.
   replay::appendLe64(Out, 0); // Reserved.

@@ -63,8 +63,8 @@ TEST(Memory, UnitApi) {
 }
 
 // Wild addresses must be a deterministic Step::Fault in every build
-// type (the interpreter classifies through Memory::access, never an
-// assert that vanishes under NDEBUG), and the fault must be identical
+// type (the interpreter classifies through Memory::View::access, never
+// an assert that vanishes under NDEBUG), and the fault must be identical
 // across runs and dispatch-batch sizes.
 TEST(Memory, InvalidLoadFaultsDeterministically) {
   auto M = compile("int main() { int* p = alloc(2); output(p[5]); "

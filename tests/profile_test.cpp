@@ -154,11 +154,10 @@ ProfiledRun profileRun(const ir::Module &M, unsigned Cores, unsigned Batch,
 
 } // namespace
 
-// The profile stage runs with an observer attached, so every attempt
-// goes through execInstruction; dispatch batches hand from core to core
-// on that path too. The pipeline pins the profile stage at the default
-// batch, so this is the only check that the planner's input does not
-// depend on the batch size.
+// The profile stage runs with an observer attached, so its chunks go
+// through execFast's observed instantiation. The pipeline pins the
+// profile stage at the default batch, so this is the only check that
+// the planner's input does not depend on the batch size.
 TEST(Profiler, ProfileDataIsBatchInvariantOnEveryWorkload) {
   const uint64_t Seed = core::PipelineConfig().ProfileSeedBase;
   for (workloads::WorkloadKind K : workloads::allWorkloads()) {
