@@ -533,23 +533,27 @@ void printProfileRuns() {
     }
     auto M = Compiled.take();
 
+    // The run sequence of the pipeline's profile stage (run r is
+    // printed as run r + 1).
+    const core::PipelineConfig Config = pipelineRequest(K, 4).Config;
     profile::ProfileData Cumulative;
     std::printf("%-8s:", nameOf(K));
     unsigned SaturatedAt = MaxRuns;
     size_t Prev = 0;
-    for (unsigned Run = 1; Run <= MaxRuns; ++Run) {
+    for (unsigned Run = 0; Run != MaxRuns; ++Run) {
+      const core::PipelineConfig::ProfileRun Spec = Config.profileRun(Run);
       profile::ConcurrencyProfiler Prof;
       rt::MachineOptions MO;
-      MO.Seed = 90000 + Run;
-      const unsigned CoreVariants[] = {8, 2, 4, 8};
-      MO.NumCores = CoreVariants[Run % 4];
+      MO.Seed = Spec.Seed;
+      MO.NumCores = Spec.Cores;
+      MO.Costs = Config.Costs;
       MO.Observer = &Prof;
       rt::Machine Machine(*M, MO);
       requireOk(Machine.run(), "profile run");
       Cumulative.merge(Prof.finish());
       std::printf(" %3zu", Cumulative.numPairs());
       if (Cumulative.numPairs() != Prev)
-        SaturatedAt = Run;
+        SaturatedAt = Run + 1;
       Prev = Cumulative.numPairs();
     }
     std::printf("   (saturates after run %u)\n", SaturatedAt);

@@ -123,9 +123,12 @@ std::string AffineExpr::str() const {
   for (const auto &[R, C] : Coeffs) {
     Out += C >= 0 ? " + " : " - ";
     int64_t Abs = C >= 0 ? C : -C;
-    if (Abs != 1)
-      Out += std::to_string(Abs) + "*";
-    Out += "r" + std::to_string(R);
+    if (Abs != 1) {
+      Out += std::to_string(Abs);
+      Out += '*';
+    }
+    Out += 'r';
+    Out += std::to_string(R);
   }
   return Out;
 }

@@ -12,6 +12,11 @@ unsigned PipelineConfig::effectiveAnalysisJobs() const {
                       : support::ThreadPool::defaultConcurrency();
 }
 
+PipelineConfig::ProfileRun PipelineConfig::profileRun(unsigned Run) const {
+  const unsigned CoreVariants[] = {ProfileCores, 2, 4, 8};
+  return {ProfileSeedBase + Run, CoreVariants[Run % 4]};
+}
+
 support::Error PipelineConfig::validate() const {
   if (NumCores == 0)
     return support::Error::failure("NumCores must be at least 1");

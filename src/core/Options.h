@@ -41,6 +41,17 @@ struct PipelineConfig {
   unsigned ProfileCores = 8;
   uint64_t ProfileSeedBase = 90001;
 
+  /// The seed and core count of profile run \p Run (0-based): seeds
+  /// count up from ProfileSeedBase, and core counts cycle through
+  /// ProfileCores, 2, 4, 8 (machine diversity makes the observed
+  /// concurrency more robust). The profile stage and bench/paper's
+  /// profile-run study both take their runs from here.
+  struct ProfileRun {
+    uint64_t Seed;
+    unsigned Cores;
+  };
+  ProfileRun profileRun(unsigned Run) const;
+
   /// Host worker threads for the analysis/profiling stages (profile-run
   /// fan-out, per-SCC RELAY composition). 0 = one per hardware thread;
   /// 1 = fully serial. Results are identical for every value.

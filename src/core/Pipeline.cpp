@@ -133,25 +133,26 @@ const race::RaceReport &ChimeraPipeline::raceReport() const {
   });
 }
 
-const profile::ProfileData &ChimeraPipeline::profileData() const {
+const ChimeraPipeline::ProfileOutcome &ChimeraPipeline::profile() const {
   return Profile.get([&] {
     obs::ScopedTimer T(stageCounter("profile"));
     CHIMERA_TRACE_SPAN(trace(), "pipeline.profile");
-    // Vary both the input seed and the core count across runs (the
-    // paper profiles over "a variety of inputs"; machine diversity
-    // makes the observed-concurrency union more robust). Runs are
-    // independent — each owns its machine, observer, and seed — so they
-    // execute concurrently; samples merge in seed (run-index) order so
-    // the result is identical for any worker count.
-    const unsigned CoreVariants[] = {Config.ProfileCores, 2, 4, 8};
+    // Each run has its own seed and core count (the paper profiles over
+    // "a variety of inputs"). Runs are independent — each owns its
+    // machine, observer, and seed — so they execute concurrently;
+    // samples merge in run-index order and the lowest failing run is
+    // reported, so the result is identical for any worker count.
     std::vector<profile::ProfileData> Samples(Config.ProfileRuns);
+    std::vector<std::string> Faults(Config.ProfileRuns);
     pool().parallelFor(
         Config.ProfileRuns, [&](size_t Run) {
+          const PipelineConfig::ProfileRun Spec =
+              Config.profileRun(static_cast<unsigned>(Run));
           profile::ConcurrencyProfiler Prof;
           rt::MachineOptions MO;
           MO.Mode = rt::ExecMode::Native;
-          MO.NumCores = CoreVariants[Run % 4];
-          MO.Seed = Config.ProfileSeedBase + Run;
+          MO.NumCores = Spec.Cores;
+          MO.Seed = Spec.Seed;
           MO.Costs = Config.Costs;
           // Execution-only schedule knobs (DispatchBatch, Quantum*)
           // deliberately stay at the MachineOptions defaults here:
@@ -167,15 +168,38 @@ const profile::ProfileData &ChimeraPipeline::profileData() const {
           MO.Observer = &Prof;
           rt::Machine Machine(*ProfileModule, MO);
           rt::ExecutionResult Result = Machine.run();
-          assert(Result.Ok && "profile run failed");
-          (void)Result;
+          if (!Result.Ok)
+            Faults[Run] = Result.Error.empty() ? "unknown fault"
+                                               : std::move(Result.Error);
           Samples[Run] = Prof.finish();
         });
-    auto Data = std::make_unique<profile::ProfileData>();
+    auto Outcome = std::make_unique<ProfileOutcome>();
+    for (unsigned Run = 0; Run != Config.ProfileRuns; ++Run) {
+      if (Faults[Run].empty())
+        continue;
+      const PipelineConfig::ProfileRun Spec = Config.profileRun(Run);
+      Outcome->Failure = support::Error::failure(
+          "profile run " + std::to_string(Run) + " (seed " +
+          std::to_string(Spec.Seed) + ", " + std::to_string(Spec.Cores) +
+          " cores) failed: " + Faults[Run]);
+      return Outcome;
+    }
     for (const profile::ProfileData &Sample : Samples)
-      Data->merge(Sample);
-    return Data;
+      Outcome->Data.merge(Sample);
+    return Outcome;
   });
+}
+
+const profile::ProfileData &ChimeraPipeline::profileData() const {
+  return profile().Data;
+}
+
+const support::Error &ChimeraPipeline::profileError() const {
+  static const support::Error Success = support::Error::success();
+  plan(); // Runs the profile stage unless the plan is served warm.
+  const ProfileOutcome *Outcome =
+      Config.Planner.UseFunctionLocks ? Profile.peek() : nullptr;
+  return Outcome ? Outcome->Failure : Success;
 }
 
 uint64_t ChimeraPipeline::planCacheKey() const {
@@ -243,8 +267,9 @@ const instrument::InstrumentationPlan &ChimeraPipeline::plan() const {
     // Without the function-lock optimization the planner ignores the
     // profile, so don't pay for profile runs.
     profile::ProfileData Empty;
-    const profile::ProfileData &Prof =
-        Config.Planner.UseFunctionLocks ? profileData() : Empty;
+    const ProfileOutcome *Profiled =
+        Config.Planner.UseFunctionLocks ? &profile() : nullptr;
+    const profile::ProfileData &Prof = Profiled ? Profiled->Data : Empty;
     obs::ScopedTimer T(stageCounter("plan"));
     CHIMERA_TRACE_SPAN(trace(), "pipeline.plan");
     auto P = std::make_unique<instrument::InstrumentationPlan>(
@@ -257,7 +282,7 @@ const instrument::InstrumentationPlan &ChimeraPipeline::plan() const {
     // plan out from under it.
     if (PlanCorruptor) {
       PlanCorruptor(*P);
-    } else if (Config.Artifacts) {
+    } else if (Config.Artifacts && !(Profiled && Profiled->Failure)) {
       std::vector<uint8_t> Bytes;
       service::encodePlan(*P, Bytes);
       Config.Artifacts->insert(service::ArtifactKind::Plan, CacheKey,
@@ -381,6 +406,8 @@ void ChimeraPipeline::corruptPlanForTest(
 }
 
 support::Expected<const ir::Module *> ChimeraPipeline::auditedModule() {
+  if (const support::Error &E = profileError())
+    return E;
   if (Config.AuditPlan) {
     const instrument::AuditResult &Result = planAudit();
     if (!Result.ok())
@@ -471,10 +498,11 @@ uint64_t ChimeraPipeline::workloadFingerprint() const {
 support::Expected<rt::ExecutionResult>
 ChimeraPipeline::recordStreamed(const std::string &Path, uint64_t Seed,
                                 rt::ExecutionObserver *Obs) {
-  // Gate before the writer opens the file: a failed audit leaves none.
+  // Gate before the writer opens the file: a failed gate leaves none.
+  // Its errors already say which check failed.
   support::Expected<const ir::Module *> IM = auditedModule();
   if (!IM)
-    return IM.error().context("plan audit failed");
+    return IM.error();
 
   replay::LogWriter::Options WO;
   WO.SegmentBytes = Config.SegmentBytes;

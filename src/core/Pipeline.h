@@ -93,7 +93,17 @@ public:
   const ir::Module &originalModule() const { return *EvalModule; }
   const analysis::MayHappenInParallel &mhp() const;
   const race::RaceReport &raceReport() const;
+  /// Concurrent function pairs observed over Config.ProfileRuns runs of
+  /// the profile program (empty when a run failed; see profileError).
   const profile::ProfileData &profileData() const;
+  /// Success, or the failure of the lowest-indexed profile run the
+  /// plan was built after — "profile run R (seed S, C cores) failed:
+  /// <fault>", the same for every AnalysisJobs. Computes the plan
+  /// first. Success when the plan came from Config.Artifacts (a plan
+  /// built after a failure is never stored there) or does not use the
+  /// profile (no function locks). Every instrumented execution returns
+  /// this failure.
+  const support::Error &profileError() const;
   const instrument::InstrumentationPlan &plan() const;
   const ir::Module &instrumentedModule() const;
   /// Static audit of the plan against the instrumented module; computed
@@ -202,11 +212,23 @@ private:
       std::lock_guard<std::mutex> Lock(Mu);
       Value.reset();
     }
+    /// The value when computed, else null; computes nothing.
+    const T *peek() const {
+      std::lock_guard<std::mutex> Lock(Mu);
+      return Value.get();
+    }
 
   private:
     mutable std::mutex Mu;
     mutable std::unique_ptr<T> Value;
   };
+
+  /// The profile stage's result: the merged data, or the failure.
+  struct ProfileOutcome {
+    profile::ProfileData Data;
+    support::Error Failure;
+  };
+  const ProfileOutcome &profile() const;
 
   /// The module-wide analyses RELAY consumes, built together.
   struct Analyses {
@@ -218,10 +240,10 @@ private:
 
   const Analyses &analyses() const;
   support::ThreadPool &pool() const;
-  /// The audit gate every instrumented execution passes: the
-  /// instrumented module when the plan audit (if Config.AuditPlan) and
-  /// the lock-order audit (unless LockOrder is Off) prove out, else the
-  /// first failure.
+  /// The gate every instrumented execution passes: the instrumented
+  /// module when the profile runs succeeded, the plan audit (if
+  /// Config.AuditPlan) and the lock-order audit (unless LockOrder is
+  /// Off) prove out, else the first failure.
   support::Expected<const ir::Module *> auditedModule();
   /// Runs the audited instrumented module under \p MO; an audit
   /// failure becomes the run's result.
@@ -267,7 +289,7 @@ private:
   StageCell<Analyses> Analysis;
   StageCell<analysis::MayHappenInParallel> MhpCell;
   StageCell<race::RaceReport> Races;
-  StageCell<profile::ProfileData> Profile;
+  StageCell<ProfileOutcome> Profile;
   StageCell<instrument::InstrumentationPlan> Plan;
   StageCell<ir::Module> Instrumented;
   StageCell<instrument::AuditResult> Audit;

@@ -8,7 +8,13 @@ using namespace chimera::ir;
 namespace {
 
 std::string regName(Reg R) {
-  return R == NoReg ? std::string("_") : "r" + std::to_string(R);
+  if (R == NoReg)
+    return "_";
+  // Appending, not "r" + to_string(R): GCC 12 at -O3 warns
+  // (-Wrestrict) on the inlined prepend.
+  std::string Name = "r";
+  Name += std::to_string(R);
+  return Name;
 }
 
 } // namespace
@@ -129,8 +135,11 @@ std::string chimera::ir::printModule(const Module &M) {
   std::string Out = "; module " + M.Name + "\n";
   for (const GlobalVar &G : M.Globals) {
     Out += "global @" + G.Name;
-    if (G.SizeWords > 1)
-      Out += "[" + std::to_string(G.SizeWords) + "]";
+    if (G.SizeWords > 1) {
+      Out += '[';
+      Out += std::to_string(G.SizeWords);
+      Out += ']';
+    }
     if (G.Init)
       Out += " = " + std::to_string(G.Init);
     Out += "\n";

@@ -213,24 +213,55 @@ uint64_t evalBinary(BinOp Op, uint64_t A, uint64_t B, bool &DivByZero) {
 
 } // namespace
 
-template <bool Observed>
+template <bool Observed, bool Lockstep>
 [[gnu::always_inline]] inline Machine::Step
-Machine::execChunk(Thread &T, unsigned Core, uint64_t MaxInsts,
-                   uint64_t StopTime, uint64_t AttemptStart, IdlePhase &Phase,
-                   uint64_t &Retired) {
-  Frame *F = &T.frame();
-  const DecodedInst *Insts = F->DFunc->Insts.data();
-  uint64_t *Regs = F->Regs.data();
-  uint32_t Ip = F->Ip;
+Machine::execChunk(unsigned &LaneIdx, uint64_t MaxInsts, uint64_t AttemptStart,
+                   ParkedCores &Park, uint64_t &Retired) {
+  Lane *const Ls = Lanes.data();
+  const unsigned K = static_cast<unsigned>(Lanes.size());
+  for (unsigned J = 0; J != K; ++J) {
+    Lane &X = Ls[J];
+    X.F = &X.T->frame();
+    X.Insts = X.F->DFunc->Insts.data();
+    X.Regs = X.F->Regs.data();
+    X.Ip = X.F->Ip;
+    X.Time = X.TimeStart = Sched.coreTime(X.Core);
+    X.Instret = X.T->Instret;
+    // Nothing a pure instruction does sets a pending operation, so a
+    // core that has one now has it until its next generic attempt.
+    X.PureEnd = hasPending(*X.T) ? X.Instret : X.StopTarget;
+  }
+  // The caller ran the first core's pending operations for this attempt.
+  Lane *L = &Ls[LaneIdx];
+  L->PureEnd = L->StopTarget;
 
-  // Time may already be at or past StopTime on entry (a pending sync op
-  // charged cycles, or binding advanced the clock to the thread's ready
-  // time); the pre-batching loop still executed one instruction before
-  // noticing, so the loop below checks the clock only after retiring.
-  // Every fast opcode charges Time and CpuBusyCycles the same amount, so
-  // the busy total is reconstructed from the Time delta at writeback.
-  const uint64_t TimeStart = Sched.coreTime(Core);
-  uint64_t Time = TimeStart;
+  // Next is the lane with the lowest (clock, index) key other than the
+  // running one, and BusyLimit the clock at which the running core's key
+  // passes Next's. The first core may stand past another busy core's key
+  // (binding can move its clock); it still takes this first attempt, as
+  // the main loop would.
+  unsigned Next = K;
+  for (unsigned J = 0; Lockstep && J != K; ++J)
+    if (J != LaneIdx && (Next == K || Ls[J].Time < Ls[Next].Time))
+      Next = J;
+  uint64_t BusyLimit =
+      Next == K ? UINT64_MAX : Ls[Next].Time + (Next > LaneIdx ? 1 : 0);
+
+  // The running core's state lives in locals; the other cores' in their
+  // lanes. Time may already be at or past the limits on entry (a
+  // pending sync op charged cycles, or binding advanced the clock to the
+  // thread's ready time); the pre-batching loop still executed one
+  // instruction before noticing, so the loop checks the clock only
+  // after retiring. Every fast opcode charges Time and CpuBusyCycles the
+  // same amount, so the busy total is reconstructed from each core's
+  // Time delta at writeback.
+  Thread *T = L->T;
+  Frame *F = L->F;
+  const DecodedInst *Insts = L->Insts;
+  uint64_t *Regs = L->Regs;
+  uint32_t Ip = L->Ip;
+  uint64_t Time = L->Time;
+  uint64_t Limit = std::min(L->Stop, BusyLimit);
 
   // Costs and segment bounds live in locals for the same reason as the
   // register file pointer: the stores this loop makes could alias the
@@ -244,15 +275,18 @@ Machine::execChunk(Thread &T, unsigned Core, uint64_t MaxInsts,
   // is written back only when the chunk ends (Observer.h).
   ExecutionObserver *const Obs = Opts.Observer;
 
-  uint64_t N = 0; ///< Instructions retired this chunk.
+  ParkedCores P = Park;
+  uint64_t Above = L->AboveMask;
+  uint64_t N = 0; ///< Instructions retired this chunk, over all cores.
+  uint64_t RunStart = 0; ///< N when the running core took over.
+  uint64_t RunEnd = std::min(MaxInsts, L->PureEnd - L->Instret);
   uint64_t MemOps = 0;
-  IdlePhase P = Phase;
   uint64_t InstStart = AttemptStart; ///< Clock before this attempt.
   Step Result = Step::Continue;
   bool ThreadDone = false;
   uint64_t FinishNow = 0; ///< Pre-charge time of the finishing Ret.
 
-  while (N != MaxInsts) {
+  for (;;) {
     const DecodedInst &I = Insts[Ip];
     switch (I.Op) {
     case Opcode::ConstInt:
@@ -311,17 +345,17 @@ Machine::execChunk(Thread &T, unsigned Core, uint64_t MaxInsts,
 
     case Opcode::Load: {
       const uint64_t Addr = Regs[I.A]; // Dst may be the address register.
-      const uint64_t *P = MV.access(Addr);
-      if (!P) {
+      const uint64_t *Word = MV.access(Addr);
+      if (!Word) {
         fail("invalid load address in " + F->func().Name + " (line " +
              std::to_string(I.Line) + ")");
         Result = Step::Fault;
         goto done;
       }
-      Regs[I.Dst] = *P;
+      Regs[I.Dst] = *Word;
       ++MemOps;
       if constexpr (Observed)
-        Obs->onMemoryAccess(T.Tid, Addr, /*IsWrite=*/false, F->func().Index,
+        Obs->onMemoryAccess(T->Tid, Addr, /*IsWrite=*/false, F->func().Index,
                             I.Ident, Time);
       Time += CLoad;
       ++Ip;
@@ -330,17 +364,17 @@ Machine::execChunk(Thread &T, unsigned Core, uint64_t MaxInsts,
 
     case Opcode::Store: {
       const uint64_t Addr = Regs[I.A];
-      uint64_t *P = MV.access(Addr);
-      if (!P) {
+      uint64_t *Word = MV.access(Addr);
+      if (!Word) {
         fail("invalid store address in " + F->func().Name + " (line " +
              std::to_string(I.Line) + ")");
         Result = Step::Fault;
         goto done;
       }
-      *P = Regs[I.B];
+      *Word = Regs[I.B];
       ++MemOps;
       if constexpr (Observed)
-        Obs->onMemoryAccess(T.Tid, Addr, /*IsWrite=*/true, F->func().Index,
+        Obs->onMemoryAccess(T->Tid, Addr, /*IsWrite=*/true, F->func().Index,
                             I.Ident, Time);
       Time += CStore;
       ++Ip;
@@ -383,12 +417,12 @@ Machine::execChunk(Thread &T, unsigned Core, uint64_t MaxInsts,
         NewFrame.Regs[J] = Regs[Args[J]];
       NewFrame.RetDst = I.Dst;
       if constexpr (Observed)
-        Obs->onFunctionEnter(T.Tid, Callee.Src->Index, Time);
+        Obs->onFunctionEnter(T->Tid, Callee.Src->Index, Time);
       Time += CCall;
       F->Ip = Ip + 1; // Caller resumes after the call.
-      T.Stack.push_back(std::move(NewFrame));
+      T->Stack.push_back(std::move(NewFrame));
       // The push may reallocate the stack; rehoist the frame state.
-      F = &T.Stack.back();
+      F = &T->Stack.back();
       Insts = F->DFunc->Insts.data();
       Regs = F->Regs.data();
       Ip = 0;
@@ -400,19 +434,19 @@ Machine::execChunk(Thread &T, unsigned Core, uint64_t MaxInsts,
       uint64_t Value = HasValue ? Regs[I.A] : 0;
       uint64_t Now = Time; // Pre-charge clock, as for the finish below.
       if constexpr (Observed)
-        Obs->onFunctionExit(T.Tid, F->func().Index, Now);
+        Obs->onFunctionExit(T->Tid, F->func().Index, Now);
       Time += CRet;
       ir::Reg RetDst = F->RetDst;
-      T.Stack.pop_back();
-      if (T.Stack.empty()) {
-        T.RetValue = HasValue ? Value : 0;
+      T->Stack.pop_back();
+      if (T->Stack.empty()) {
+        T->RetValue = HasValue ? Value : 0;
         ++N; // The return retires.
         ThreadDone = true;
         FinishNow = Now;
         Result = Step::Finished;
         goto done;
       }
-      F = &T.Stack.back();
+      F = &T->Stack.back();
       Insts = F->DFunc->Insts.data();
       Regs = F->Regs.data();
       Ip = F->Ip;
@@ -430,41 +464,98 @@ Machine::execChunk(Thread &T, unsigned Core, uint64_t MaxInsts,
     }
 
     ++N;
-    P.step(InstStart, Time);
+    // The hops the main loop would take before this attempt.
+    if (P.Mask)
+      P.hop(InstStart, Above);
     InstStart = Time;
-    if (Time >= StopTime)
-      break;
+    if (N == RunEnd || Time >= Limit) [[unlikely]] {
+      // The attempt ends the chunk on this core, or its next attempt is
+      // a generic one and it still holds the lowest key.
+      if (!Lockstep || Time >= L->Stop || N == MaxInsts || Time < BusyLimit)
+        break;
+      // Next now holds the lowest key: the main loop would hop the
+      // parked cores below it (P takes those hops with its first
+      // attempt) and step that core next.
+      L->F = F;
+      L->Insts = Insts;
+      L->Regs = Regs;
+      L->Ip = Ip;
+      L->Time = Time;
+      L->Instret += N - RunStart;
+      const unsigned From = LaneIdx;
+      LaneIdx = Next;
+      L = &Ls[Next];
+      // The new Next: the lowest key among the lanes but the new running
+      // one. Only the core that just ran has moved since the last pick.
+      Next = From;
+      uint64_t NextTime = Time;
+      for (unsigned J = 0; J != K; ++J) {
+        const uint64_t X = Ls[J].Time;
+        const bool Lower = J != LaneIdx && J != From &&
+                           (X < NextTime || (X == NextTime && J < Next));
+        Next = Lower ? J : Next;
+        NextTime = Lower ? X : NextTime;
+      }
+      BusyLimit = NextTime + (Next > LaneIdx ? 1 : 0);
+      T = L->T;
+      F = L->F;
+      Insts = L->Insts;
+      Regs = L->Regs;
+      Ip = L->Ip;
+      Time = L->Time;
+      Limit = std::min(L->Stop, BusyLimit);
+      Above = L->AboveMask;
+      InstStart = Time;
+      RunStart = N;
+      RunEnd = N + std::min(MaxInsts - N, L->PureEnd - L->Instret);
+      if (N == RunEnd)
+        break; // Its next attempt is a generic one.
+    }
   }
 
 done:
-  // A finishing Ret retires and a fault ends its attempt; a non-fast
-  // opcode is left for the generic dispatcher, which steps it.
-  if (Result != Step::Continue)
-    P.step(InstStart, Time);
-  Phase = P;
-  if (!ThreadDone)
-    F->Ip = Ip; // The popped frame of a finishing Ret is already gone.
+  // A finishing Ret retires and a fault ends its attempt; a generic
+  // opcode is left for execInstruction, which is stepCore's attempt.
+  if (Result != Step::Continue && P.Mask)
+    P.hop(InstStart, Above);
+  Park = P;
+  L->F = F;
+  L->Ip = Ip;
+  L->Time = Time;
+  L->Instret += N - RunStart;
+  for (unsigned J = 0; J != K; ++J) {
+    Lane &X = Ls[J];
+    // The popped frame of a finishing Ret is already gone.
+    if (!(ThreadDone && &X == L))
+      X.F->Ip = X.Ip;
+    X.T->Instret = X.Instret;
+    Stats.CpuBusyCycles += X.Time - X.TimeStart;
+    Sched.setCoreTime(X.Core, X.Time);
+  }
   Retired = N;
-  T.Instret += N;
   Stats.Instructions += N;
   Stats.MemOps += MemOps;
-  Stats.CpuBusyCycles += Time - TimeStart;
-  Sched.setCoreTime(Core, Time);
   if (ThreadDone)
-    finishThread(T, FinishNow);
+    finishThread(*T, FinishNow);
   return Result;
 }
 
-Machine::Step Machine::execFast(Thread &T, unsigned Core, uint64_t MaxInsts,
-                                uint64_t StopTime, uint64_t AttemptStart,
-                                IdlePhase &Phase, uint64_t &Retired) {
+Machine::Step Machine::execFast(unsigned &Lane, uint64_t MaxInsts,
+                                uint64_t AttemptStart, ParkedCores &Park,
+                                uint64_t &Retired) {
   // GCC does not split cold code out of a template instantiation (a
   // COMDAT function); in this ordinary function it moves the fault paths
   // out of both loops.
-  return Opts.Observer ? execChunk<true>(T, Core, MaxInsts, StopTime,
-                                         AttemptStart, Phase, Retired)
-                       : execChunk<false>(T, Core, MaxInsts, StopTime,
-                                          AttemptStart, Phase, Retired);
+  if (Lanes.size() == 1)
+    return Opts.Observer ? execChunk<true, false>(Lane, MaxInsts, AttemptStart,
+                                                  Park, Retired)
+                         : execChunk<false, false>(Lane, MaxInsts,
+                                                   AttemptStart, Park, Retired);
+  return Opts.Observer
+             ? execChunk<true, true>(Lane, MaxInsts, AttemptStart, Park,
+                                     Retired)
+             : execChunk<false, true>(Lane, MaxInsts, AttemptStart, Park,
+                                      Retired);
 }
 
 Machine::Step Machine::execInstruction(Thread &T, unsigned Core) {

@@ -17,6 +17,7 @@
 #include "runtime/Snapshot.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 using namespace chimera;
@@ -334,8 +335,7 @@ ExecutionResult Machine::run() {
   CoreThread.assign(Opts.NumCores, -1);
   CoreSliceEnd.assign(Opts.NumCores, 0);
   CoreSliceStart.assign(Opts.NumCores, 0);
-  Parked.reserve(Opts.NumCores);
-  BatchBusy.reserve(Opts.NumCores);
+  Lanes.reserve(Opts.NumCores);
 
   const bool Streaming = isRecord() && Opts.LogSink != nullptr;
   if (Streaming) {
@@ -613,13 +613,13 @@ bool Machine::stepCore(unsigned Core) {
   // applicable, (d) a streamed checkpoint falling due, or (e) an idle
   // core hopping — the sleeper set and idle clocks cannot change while
   // the busy cores run. For (a) the batch does what the main loop does:
-  // it hands itself to the busy core that now holds the lowest key, with
-  // that core's slice end, epoch target and bounds. It ends at the first
-  // attempt after which (b) could hold, is disabled outright for (c), and
-  // ends right after the attempt that logs a checkpoint's event for (d),
-  // so every batch size yields the bit-identical schedule, log,
-  // checkpoints, and result. Attempts count across handoffs, so
-  // DispatchBatch 1 is the per-attempt reference.
+  // every attempt after the first runs on the busy core that holds the
+  // lowest key, with that core's slice end, epoch target and bounds. It
+  // ends at the first attempt after which (b) could hold, is disabled
+  // outright for (c), and ends right after the attempt that logs a
+  // checkpoint's event for (d), so every batch size yields the
+  // bit-identical schedule, log, checkpoints, and result. Attempts count
+  // across cores, so DispatchBatch 1 is the per-attempt reference.
   //
   // (e) is the idle rule. An idle core with nothing to pick up only ever
   // hops to the lowest busy clock + 1, each time the lowest busy key
@@ -628,104 +628,111 @@ bool Machine::stepCore(unsigned Core) {
   // wait matures, such hops change nothing but the idle clock, so idle
   // cores standing 0 or 1 cycle past the lowest busy clock (and above its
   // key) are parked: they do not bound the batch, and their clocks follow
-  // from the sequence of lowest busy keys alone (IdlePhase within a run
-  // on one core, the hop rule itself at each handoff). When the batch
-  // ends they are written back exactly where the per-hop loop would
-  // stand. Idle cores further ahead bound the batch instead.
+  // from the sequence of lowest busy keys alone (ParkedCores). When the
+  // batch ends they are written back exactly where the per-hop loop
+  // would stand. Idle cores further ahead bound the batch instead.
   uint64_t Batch = HasRevocations ? 1 : Opts.DispatchBatch;
   if (Batch == 0)
     Batch = 1;
 
-  // Sort the other cores into busy, parked, and idle ones that bound
-  // the batch; of the latter only the lowest (clock, index) key matters.
-  // A batch of one attempt ends after it whatever its bounds, so it
-  // skips them.
+  // Sort the cores into busy ones (the lanes), parked ones, and idle
+  // ones that bound the batch; of the latter only the lowest (clock,
+  // index) key matters. A batch of one attempt ends after it whatever
+  // its bounds, so it runs on its own core alone.
   const uint64_t Start = Sched.coreTime(Core);
-  const bool CanPark = !Sched.hasReady();
-  BatchBusy.clear();
-  Parked.clear();
+  const bool CanPark = !Sched.hasReady() && Opts.NumCores <= 64;
+  Lanes.clear();
+  ParkedCores Park;
+  Park.Level = Start;
+  unsigned J = 0; // The lane of the next attempt.
   uint64_t IdleClock = UINT64_MAX;
   unsigned IdleCore = 0;
-  auto BoundBy = [&](unsigned C, uint64_t Clock) {
-    if (Clock < IdleClock || (Clock == IdleClock && C < IdleCore)) {
+  // The clock at which Core stops holding the lowest busy key.
+  uint64_t BusyLimit = UINT64_MAX;
+  const unsigned First = Batch > 1 ? 0 : Core;
+  const unsigned Last = Batch > 1 ? Opts.NumCores : Core + 1;
+  for (unsigned C = First; C != Last; ++C) {
+    const uint64_t Clock = Sched.coreTime(C);
+    if (CoreThread[C] >= 0) {
+      if (C == Core)
+        J = static_cast<unsigned>(Lanes.size());
+      else
+        BusyLimit = std::min(BusyLimit, Clock + (C > Core ? 1 : 0));
+      Lane &L = Lanes.emplace_back();
+      L.Core = C;
+      L.T = Threads[CoreThread[C]].get();
+    } else if (CanPark &&
+               (Clock == Start + 1 || (Clock == Start && C > Core))) {
+      Park.Mask |= uint64_t(1) << C;
+      if (Clock == Start)
+        Park.Low |= uint64_t(1) << C;
+    } else if (Clock < IdleClock) {
       IdleClock = Clock;
       IdleCore = C;
     }
-  };
-  for (unsigned C = 0; Batch > 1 && C != Opts.NumCores; ++C) {
-    uint64_t Clock = Sched.coreTime(C);
-    if (CoreThread[C] >= 0)
-      BatchBusy.push_back(C);
-    else if (CanPark && (Clock == Start + 1 || (Clock == Start && C > Core)))
-      Parked.push_back({C, static_cast<uint8_t>(Clock - Start)});
-    else
-      BoundBy(C, Clock);
   }
-
-  // A run on core C keeps the lowest busy key while C's clock stays
-  // below BusyLimit (set by Next, the busy core with the next-lowest
-  // key), and stays below every bounding idle core's key while it is
-  // below IdleLimit. Ties go to the lowest index.
-  unsigned Next = 0;
-  uint64_t BusyLimit = 0, IdleLimit = 0;
-  auto Bound = [&](unsigned C) {
-    Next = Opts.NumCores;
-    for (unsigned B : BatchBusy)
-      if (B != C && (Next == Opts.NumCores ||
-                     Sched.coreTime(B) < Sched.coreTime(Next)))
-        Next = B;
-    BusyLimit = Next == Opts.NumCores
-                    ? UINT64_MAX
-                    : Sched.coreTime(Next) + (Next > C ? 1 : 0);
-    IdleLimit = IdleClock == UINT64_MAX ? UINT64_MAX
-                                        : IdleClock + (IdleCore > C ? 1 : 0);
-  };
-  Bound(Core);
-  if (!Parked.empty() && Start >= BusyLimit) {
+  if (Park.Mask && Start >= BusyLimit) {
     // Binding moved this core's clock past another busy core's key, so
     // the parked clocks are not relative to the lowest busy clock.
-    for (const ParkedCore &P : Parked)
-      BoundBy(P.Core, Start + P.Offset);
-    Parked.clear();
-    Bound(Core);
+    for (unsigned C = 0; C != Opts.NumCores; ++C) {
+      const uint64_t Clock = Sched.coreTime(C);
+      if ((Park.Mask >> C & 1) &&
+          (Clock < IdleClock || (Clock == IdleClock && C < IdleCore))) {
+        IdleClock = Clock;
+        IdleCore = C;
+      }
+    }
+    Park.Mask = Park.Low = 0;
   }
   // A parked core's hop to clock + 1 polls weak timeouts there; end the
   // batch before such a poll could find a matured wait. Waits begun
   // during the batch block their thread, which ends it anyway.
   uint64_t MatureLimit = UINT64_MAX;
-  if (PollWeak && !Parked.empty()) {
+  if (PollWeak && Park.Mask) {
     uint64_t Mature = weakMaturity();
     if (Mature != UINT64_MAX)
       MatureLimit = std::max<uint64_t>(Mature, 1) - 1;
   }
   const uint64_t NextWake =
       SleepingThreads && Batch > 1 ? nextWakeTime() : UINT64_MAX;
-
-  // Straight-line runs of pure instructions go through execFast, which
-  // retires a whole chunk with machine state hoisted into locals (and
-  // reports to the observer, if any). A chunk of R retired instructions
-  // stands for R dispatch attempts of the pre-batching loop (execPending
-  // is provably vacuous between pure instructions: nothing in a chunk
-  // can set a pending mutex or reacquisition, and replay-with-revocations
-  // forces Batch = 1). The chunk bound keeps every per-attempt
-  // observation intact: it never crosses the batch end, a weak-poll tick
-  // boundary, the instruction budget, or a due checkpoint, and execFast
-  // itself stops the moment the core clock reaches the earliest of the
-  // run's limits, the next wake and the slice end.
-
+  // A core stays below the bounding idle core's key while its clock is
+  // below IdleLimit(C) (ties go to the lowest index).
+  auto IdleLimit = [&](unsigned C) {
+    return IdleClock == UINT64_MAX ? UINT64_MAX
+                                   : IdleClock + (IdleCore > C ? 1 : 0);
+  };
   // Epoch fence: the boundary snapshot pins the retired-instruction
   // count at which each thread must freeze. The check runs before every
-  // instruction (and bounds execFast chunks), so a thread is parked at
+  // attempt (and bounds execFast's runs), so a thread is parked at
   // exactly its target — anything past it is a divergence.
-  uint64_t StopTarget = Opts.StopAt ? stopTarget(T->Tid) : UINT64_MAX;
+  for (Lane &L : Lanes) {
+    L.Stop = std::min({CoreSliceEnd[L.Core], IdleLimit(L.Core), MatureLimit,
+                       NextWake});
+    L.StopTarget = Opts.StopAt ? stopTarget(L.T->Tid) : UINT64_MAX;
+    L.AboveMask = Park.above(L.Core);
+  }
 
-  IdlePhase Phase{Start};
+  // Straight-line runs of pure instructions go through execFast, which
+  // retires them across the lanes with machine state hoisted into
+  // locals (and reports to the observer, if any). Its R retired
+  // instructions stand for R dispatch attempts of the pre-batching loop
+  // (execPending is provably vacuous between pure instructions: nothing
+  // in a chunk can set a pending mutex or reacquisition, and
+  // replay-with-revocations forces Batch = 1). The chunk bound keeps
+  // every per-attempt observation intact: it never crosses the batch
+  // end, a weak-poll tick boundary, the instruction budget, or a due
+  // checkpoint, and execFast ends it the moment the running core's
+  // clock reaches its Stop (the earliest of its slice end, the idle
+  // bound, the maturity bound and the next wake).
   for (;;) {
+    const unsigned From = J; // The lane of this attempt.
+    Core = Lanes[J].Core;
+    T = Lanes[J].T;
     const uint64_t AttemptStart = Sched.coreTime(Core);
-    bool PhaseDone = false; // execFast steps Phase itself.
+    bool Hopped = false; // execFast takes its attempts' hops itself.
     uint64_t Attempts = 1;
     Step S = hasPending(*T) ? execPending(*T, Core) : Step::Continue;
-    if (S == Step::Continue && T->Instret >= StopTarget)
+    if (S == Step::Continue && T->Instret >= Lanes[J].StopTarget)
       S = parkAtEpochEnd(*T, Core);
     else if (S == Step::Continue) {
       uint64_t CountLimit = Batch;
@@ -733,26 +740,24 @@ bool Machine::stepCore(unsigned Core) {
         CountLimit = std::min(CountLimit, 64 - (WeakCheckTick & 0x3f));
       CountLimit = std::min(CountLimit,
                             Opts.MaxInstructions + 1 - Stats.Instructions);
-      if (StopTarget != UINT64_MAX)
-        CountLimit = std::min(CountLimit, StopTarget - T->Instret);
-      // The pending ops logged a checkpoint's event: this attempt, and
-      // with it the batch, ends after one instruction.
-      if (checkpointDue())
+      // The pending ops logged a checkpoint's event, or made a thread
+      // ready that a parked core's next hop would pick up: this
+      // attempt, and with it the batch, ends after one instruction.
+      if (checkpointDue() || (Park.Mask && Sched.hasReady()))
         CountLimit = 1;
-      uint64_t StopTime = std::min(
-          {BusyLimit, IdleLimit, MatureLimit, NextWake, CoreSliceEnd[Core]});
       uint64_t Retired = 0;
-      S = execFast(*T, Core, CountLimit, StopTime, AttemptStart, Phase,
-                   Retired);
+      S = execFast(J, CountLimit, AttemptStart, Park, Retired);
       if (Retired == 0 && S == Step::Continue) {
         S = execInstruction(*T, Core); // A visible op heads the chunk.
       } else {
         Attempts = Retired + (S == Step::Fault ? 1 : 0);
-        PhaseDone = true;
+        Hopped = true;
+        Core = Lanes[J].Core;
+        T = Lanes[J].T;
       }
     }
-    if (!PhaseDone)
-      Phase.step(AttemptStart, Sched.coreTime(Core));
+    if (!Hopped && Park.Mask)
+      Park.hop(AttemptStart, Lanes[J].AboveMask);
     if (CollectObs)
       ++ObsDispatchChunks;
 
@@ -797,13 +802,19 @@ bool Machine::stepCore(unsigned Core) {
     // next hop, so it ends the batch like the other observations.
     const uint64_t Now = Sched.coreTime(Core);
     bool End = !StayBound || Failed || Attempts >= Batch ||
-               Now >= IdleLimit || Now >= MatureLimit || Now >= NextWake ||
-               checkpointDue() || (!Parked.empty() && Sched.hasReady());
+               Now >= IdleLimit(Core) || Now >= MatureLimit ||
+               Now >= NextWake || checkpointDue() ||
+               (Park.Mask && Sched.hasReady());
     if (End) {
       // Parked cores go back to where the per-hop loop would stand.
-      for (const ParkedCore &P : Parked)
-        Sched.setCoreTime(P.Core, Phase.lastClock(P.Core, Core, P.Offset));
-      Parked.clear();
+      for (uint64_t Left = Park.Mask; Left; Left &= Left - 1) {
+        const unsigned C = static_cast<unsigned>(std::countr_zero(Left));
+        assert(Park.clock(C) >= Sched.coreTime(C) &&
+               Park.clock(C) - Park.Level <= 1 &&
+               "parked core left the lowest clock");
+        Sched.setCoreTime(C, Park.clock(C));
+      }
+      Park.Mask = 0;
     }
 
     // Weak-timeout polling at the pre-batching cadence: one tick per
@@ -819,31 +830,25 @@ bool Machine::stepCore(unsigned Core) {
       if ((WeakCheckTick & 0x3f) == 0)
         Revoked = checkWeakTimeouts(Now);
     }
-    assert((!Revoked || Parked.empty()) && "revoked past parked cores");
+    assert((!Revoked || !Park.Mask) && "revoked past parked cores");
 
     if (End || Revoked)
       return true;
     Batch -= Attempts;
-    if (Now < BusyLimit)
-      continue;
 
-    // Hand the batch to the busy core that now holds the lowest key. The
-    // main loop would first hop every parked core below that key to its
-    // clock + 1, from where it stood before this core's latest attempt.
-    const unsigned From = Core;
-    Core = Next;
-    const uint64_t Lowest = Sched.coreTime(Core);
-    for (ParkedCore &P : Parked) {
-      uint64_t Clock = Phase.lastClock(P.Core, From, P.Offset);
-      if (Clock < Lowest || (Clock == Lowest && P.Core < Core))
-        Clock = Lowest + 1;
-      assert(Clock - Lowest <= 1 && "parked core left the lowest clock");
-      P.Offset = static_cast<uint8_t>(Clock - Lowest);
-    }
-    T = Threads[CoreThread[Core]].get();
-    StopTarget = Opts.StopAt ? stopTarget(T->Tid) : UINT64_MAX;
-    Bound(Core);
-    Phase = IdlePhase{Lowest};
+    if (J == From && Now < BusyLimit)
+      continue;
+    // The next attempt runs on the busy core that now holds the lowest
+    // key (ties to the lowest index). The main loop would first hop the
+    // parked cores below it; Park takes those hops with that attempt.
+    auto Clock = [&](unsigned X) { return Sched.coreTime(Lanes[X].Core); };
+    for (unsigned X = 0; X != Lanes.size(); ++X)
+      if (Clock(X) < Clock(J) || (X < J && Clock(X) == Clock(J)))
+        J = X;
+    BusyLimit = UINT64_MAX;
+    for (unsigned X = 0; X != Lanes.size(); ++X)
+      if (X != J)
+        BusyLimit = std::min(BusyLimit, Clock(X) + (X > J ? 1 : 0));
   }
 }
 

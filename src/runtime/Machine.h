@@ -188,35 +188,55 @@ private:
     Fault,    ///< Machine must stop.
   };
 
-  /// Where the idle cores parked behind a dispatch batch would stand if
-  /// they had hopped after every attempt, over one run of attempts on
-  /// the same core (see stepCore). Each parked core stands 0 or 1 cycle
-  /// past the lowest busy clock; O is that offset when the run began.
-  /// A parked core with a lower index than the running core sits one
-  /// cycle past the clock before the latest attempt; a higher-index one
-  /// sits F(O) cycles past it, where each attempt composes onto F
-  /// "keep" (0 cycles), "flip" (1 cycle) or "set to 1" (longer).
-  struct IdlePhase {
-    uint64_t LastStart = 0; ///< Core clock before the latest attempt.
-    bool Keep = true, Flip = false; ///< F(O) = (Keep & O) ^ Flip.
-    bool LastKeep = true, LastFlip = false; ///< F before the latest attempt.
-    void step(uint64_t From, uint64_t To) {
-      LastStart = From;
-      LastKeep = Keep;
-      LastFlip = Flip;
-      uint64_t D = To - From;
-      if (D == 1) {
-        Flip = !Flip;
-      } else if (D > 1) {
-        Keep = false;
-        Flip = true;
-      }
+  /// The idle cores parked behind a dispatch batch (see stepCore) and
+  /// where they stand. The main loop hops an idle core at (x, I) to
+  /// t + 1 whenever the lowest busy key (t, c) passes (x, I), so after
+  /// the hops that precede an attempt at key (Level, c) every parked
+  /// core stands at Level or Level + 1; Low holds those at Level, which
+  /// all have an index above c. hop() applies one attempt's hops to all
+  /// parked cores at once in O(1); clock() reads one core back when the
+  /// batch writes them back. Core indices are bits, so only machines of
+  /// at most 64 cores park.
+  struct ParkedCores {
+    uint64_t Mask = 0;  ///< Bit C set: core C is parked.
+    uint64_t Level = 0; ///< Clock of the latest attempt's key.
+    uint64_t Low = 0;   ///< Parked cores standing at Level, not Level + 1.
+    /// The parked cores a hop at an attempt on \p Core can leave at the
+    /// attempt's clock: those with a higher index.
+    uint64_t above(unsigned Core) const {
+      return Core >= 63 ? 0 : Mask & (~uint64_t(0) << (Core + 1));
     }
-    /// Where the parked core \p C stood before the latest attempt of a
-    /// run on \p Core, given its offset \p O when the run began.
-    uint64_t lastClock(unsigned C, unsigned Core, uint8_t O) const {
-      return LastStart + (C < Core ? 1 : ((LastKeep & (O != 0)) ^ LastFlip));
+    /// The hops before an attempt starting at \p Clock on a core whose
+    /// above() is \p Above. Keys never decrease within a batch, so
+    /// Clock >= Level: a core at Level + 1 is now at the attempt's
+    /// clock, and any other core is below the key and hops past it.
+    void hop(uint64_t Clock, uint64_t Above) {
+      const uint64_t Gap = Clock - Level;
+      Low = (Gap == 0 ? Low : Gap == 1 ? ~Low : 0) & Above;
+      Level = Clock;
     }
+    uint64_t clock(unsigned C) const { return Level + ((~Low >> C) & 1); }
+  };
+
+  /// One busy core of a dispatch batch. stepCore fills the first five
+  /// fields once per batch; execFast's loop owns the rest.
+  struct Lane {
+    unsigned Core = 0;
+    Thread *T = nullptr;
+    /// First clock at which this core's attempt ends the batch: its
+    /// slice end, an idle core's key, a weak wait maturing, a wake.
+    uint64_t Stop = 0;
+    uint64_t StopTarget = 0; ///< Epoch fence (UINT64_MAX when unfenced).
+    uint64_t AboveMask = 0;  ///< ParkedCores::above(Core).
+    Frame *F = nullptr;
+    const DecodedInst *Insts = nullptr;
+    uint64_t *Regs = nullptr;
+    uint32_t Ip = 0;
+    uint64_t Time = 0, TimeStart = 0;
+    uint64_t Instret = 0; ///< The thread's retired-instruction count.
+    /// The Instret at which the core's next attempt must be a generic
+    /// one (pending operations, the epoch fence).
+    uint64_t PureEnd = 0;
   };
 
   // -- Top-level loop (Machine.cpp).
@@ -224,8 +244,8 @@ private:
                    uint32_t ParentTid, uint64_t Now);
   /// Dispatches up to Opts.DispatchBatch instructions (each preceded by
   /// pending-op handling), binding a new thread to \p Core first if the
-  /// core is idle. The batch starts on \p Core and passes to whichever
-  /// busy core holds the lowest (clock, index) key, as the main loop
+  /// core is idle. The batch starts on \p Core and then always runs the
+  /// busy core with the lowest (clock, index) key, as the main loop
   /// would; it ends at the first point where the main loop's
   /// per-instruction observations could differ from re-entering it (see
   /// the implementation). Returns false when the core could make no
@@ -261,26 +281,28 @@ private:
   /// Executes one scheduler- or log-visible instruction (sync, spawn,
   /// join, I/O, yield, weak-lock); the pure opcodes are execFast's.
   Step execInstruction(Thread &T, unsigned Core);
-  /// The interpreter of the pure opcodes: retires up to \p MaxInsts
-  /// straight-line instructions (ALU/memory/branch/call/ret — nothing
-  /// scheduler- or log-visible) with frame, register file, and core
-  /// clock hoisted into locals, stopping early once the core clock
-  /// reaches \p StopTime or the next opcode needs execInstruction.
-  /// \p Retired reports the count; state is written back exactly as if
-  /// each instruction had been dispatched individually. With an observer
+  /// The interpreter of the pure opcodes. Starting on Lanes[\p Lane]
+  /// with an attempt that began at \p AttemptStart, it retires up to
+  /// \p MaxInsts pure instructions (ALU/memory/branch/call/ret — nothing
+  /// scheduler- or log-visible) across the batch's busy cores, one at a
+  /// time on the core holding the lowest (clock, index) key, with each
+  /// core's frame, register file and clock hoisted into its lane. It
+  /// returns when the chosen core meets an opcode for execInstruction,
+  /// pending operations or its epoch fence (Continue, nothing retired
+  /// there), or when an attempt on it reaches the core's Stop clock, the
+  /// budget, a fault, or the thread's last Ret. \p Lane then names that
+  /// core and \p Retired counts the instructions; state is written back
+  /// exactly as if each instruction had been dispatched individually,
+  /// and \p Park has taken every attempt's hops. With an observer
   /// attached, each memory access, call and return is reported to it.
-  /// Each retired instruction (and a faulting one) is one dispatch
-  /// attempt for \p Phase; the first attempt began at \p AttemptStart.
-  Step execFast(Thread &T, unsigned Core, uint64_t MaxInsts,
-                uint64_t StopTime, uint64_t AttemptStart, IdlePhase &Phase,
-                uint64_t &Retired);
+  Step execFast(unsigned &Lane, uint64_t MaxInsts, uint64_t AttemptStart,
+                ParkedCores &Park, uint64_t &Retired);
   /// execFast's loop, inlined into it once per value of \p Observed
   /// (Opts.Observer != nullptr), so the unobserved loop has no observer
   /// code at all.
-  template <bool Observed>
-  Step execChunk(Thread &T, unsigned Core, uint64_t MaxInsts,
-                 uint64_t StopTime, uint64_t AttemptStart, IdlePhase &Phase,
-                 uint64_t &Retired);
+  template <bool Observed, bool Lockstep>
+  Step execChunk(unsigned &Lane, uint64_t MaxInsts, uint64_t AttemptStart,
+                 ParkedCores &Park, uint64_t &Retired);
   Step execPending(Thread &T, unsigned Core); ///< Revocations/reacquires.
   /// False when execPending would return Continue without acting: no
   /// replayed revocations, no cond-wait mutex, no forced reacquisition.
@@ -428,18 +450,9 @@ private:
   /// Next Stats.LogEvents threshold at which a checkpoint is emitted
   /// (record mode with a sink and CheckpointEvery > 0; 0 = never).
   uint64_t NextCheckpointAt = 0;
-  /// An idle core the current dispatch batch parks, with its offset (0
-  /// or 1) past the lowest busy clock when the batch's current run on
-  /// one core began. Parked clocks in Sched are stale until the batch
-  /// writes them back.
-  struct ParkedCore {
-    unsigned Core;
-    uint8_t Offset;
-  };
-  std::vector<ParkedCore> Parked;
-  /// The busy cores of the current dispatch batch (a core that unbinds
-  /// ends the batch, so the set is fixed within one).
-  std::vector<unsigned> BatchBusy;
+  /// The busy cores of the current dispatch batch, in core order (a
+  /// core that unbinds ends the batch, so the set is fixed within one).
+  std::vector<Lane> Lanes;
   /// Replaying a log that contains revocations: machine-side forced
   /// releases must be re-checked before every instruction, so dispatch
   /// batching is disabled.
@@ -467,7 +480,7 @@ private:
   uint64_t ObsWeakPollsSkipped = 0; ///< Polls that returned at a gate.
   uint64_t ObsLoopIterations = 0;   ///< Main scheduling-loop iterations.
   uint64_t ObsIdleHops = 0;         ///< Iterations that only hop an idle core.
-  uint64_t ObsDispatchChunks = 0;   ///< execFast chunks + generic attempts.
+  uint64_t ObsDispatchChunks = 0;   ///< execFast calls + generic attempts.
   std::vector<uint64_t> CoreSliceStart; ///< Bind-time clock per core.
 };
 

@@ -181,6 +181,10 @@ void SessionManager::runSession(const std::shared_ptr<Session> &S) {
     // Forces the analysis chain (RELAY -> profile -> plan -> certify),
     // or one artifact-cache lookup on a warm hit.
     R.PlanFingerprint = instrument::planFingerprint(P->plan());
+    if (const support::Error &E = P->profileError()) {
+      R.Error = E.message();
+      return complete(S, std::move(R));
+    }
     if (shouldStop(S, "planned", R))
       return complete(S, std::move(R));
 

@@ -7,10 +7,18 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "core/Cli.h"
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -195,4 +203,31 @@ TEST(CliParse, PlannerAblationsAndHelpFlag) {
   EXPECT_FALSE(bool(parse({"--naive", "--help"}, O)));
   EXPECT_FALSE(O.Planner.UseFunctionLocks);
   EXPECT_TRUE(O.Help);
+}
+
+// `chimera plan` on a program whose profile runs fault exits 1 with the
+// profile stage's typed error; it neither builds a plan from the faulting
+// runs nor, in a build with assertions, aborts.
+TEST(CliRun, PlanReportsAFailedProfileRun) {
+  namespace fs = std::filesystem;
+  const fs::path Dir = fs::temp_directory_path() /
+                       ("chimera_cli_test_" + std::to_string(::getpid()));
+  fs::create_directories(Dir);
+  const fs::path Program = Dir / "faulting.mc";
+  const fs::path Err = Dir / "stderr.txt";
+  std::ofstream(Program) << test::apacheWithInvalidStore();
+  const std::string Command = std::string(CHIMERA_CLI_PATH) + " plan " +
+                              Program.string() + " 2> " + Err.string();
+  const int Status = std::system(Command.c_str());
+  ASSERT_TRUE(WIFEXITED(Status)) << "status " << Status;
+  EXPECT_EQ(WEXITSTATUS(Status), 1);
+  std::ifstream In(Err);
+  const std::string Message((std::istreambuf_iterator<char>(In)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(Message.rfind("profile run 0 (seed 90001, 8 cores) failed: "
+                          "invalid store address in main",
+                          0),
+            0u)
+      << Message;
+  fs::remove_all(Dir);
 }

@@ -13,97 +13,16 @@
 
 #include "TestUtil.h"
 #include "race/DynamicDetector.h"
-#include "support/Hash.h"
 
 #include <gtest/gtest.h>
-
-#include <initializer_list>
-#include <ios>
-#include <ostream>
 
 using namespace chimera;
 using namespace chimera::workloads;
 
 namespace {
 
-/// Folds every callback (a tag, its arguments, its clock) into one
-/// digest, and forwards it to \p Next when one is given.
-class DigestObserver : public rt::ExecutionObserver {
-public:
-  explicit DigestObserver(rt::ExecutionObserver *Next = nullptr)
-      : Next(Next) {}
-
-  struct Stream {
-    uint64_t Digest = 0;
-    uint64_t Events = 0;
-    bool operator==(const Stream &) const = default;
-  };
-  Stream stream() const { return {H.digest(), Events}; }
-
-  void onThreadStart(uint32_t Tid, uint32_t ParentTid, uint32_t FuncId,
-                     uint64_t Now) override {
-    add({1, Tid, ParentTid, FuncId, Now});
-    if (Next)
-      Next->onThreadStart(Tid, ParentTid, FuncId, Now);
-  }
-  void onThreadFinish(uint32_t Tid, uint64_t Now) override {
-    add({2, Tid, Now});
-    if (Next)
-      Next->onThreadFinish(Tid, Now);
-  }
-  void onJoin(uint32_t ParentTid, uint32_t ChildTid, uint64_t Now) override {
-    add({3, ParentTid, ChildTid, Now});
-    if (Next)
-      Next->onJoin(ParentTid, ChildTid, Now);
-  }
-  void onFunctionEnter(uint32_t Tid, uint32_t FuncId, uint64_t Now) override {
-    add({4, Tid, FuncId, Now});
-    if (Next)
-      Next->onFunctionEnter(Tid, FuncId, Now);
-  }
-  void onFunctionExit(uint32_t Tid, uint32_t FuncId, uint64_t Now) override {
-    add({5, Tid, FuncId, Now});
-    if (Next)
-      Next->onFunctionExit(Tid, FuncId, Now);
-  }
-  void onMemoryAccess(uint32_t Tid, uint64_t Addr, bool IsWrite,
-                      uint32_t FuncId, ir::InstId Ident,
-                      uint64_t Now) override {
-    add({6, Tid, Addr, IsWrite, FuncId, Ident, Now});
-    if (Next)
-      Next->onMemoryAccess(Tid, Addr, IsWrite, FuncId, Ident, Now);
-  }
-  void onSync(uint32_t Tid, rt::ObservedSync Kind, uint32_t ObjId,
-              uint64_t Aux, uint64_t Now) override {
-    add({7, Tid, static_cast<uint64_t>(Kind), ObjId, Aux, Now});
-    if (Next)
-      Next->onSync(Tid, Kind, ObjId, Aux, Now);
-  }
-  void onWeak(uint32_t Tid, bool IsAcquire, uint32_t LockId, bool HasRange,
-              uint64_t Lo, uint64_t Hi, uint64_t Now) override {
-    add({8, Tid, IsAcquire, LockId, HasRange, Lo, Hi, Now});
-    if (Next)
-      Next->onWeak(Tid, IsAcquire, LockId, HasRange, Lo, Hi, Now);
-  }
-
-private:
-  void add(std::initializer_list<uint64_t> Words) {
-    for (uint64_t W : Words)
-      H.addWord(W);
-    ++Events;
-  }
-
-  rt::ExecutionObserver *Next;
-  Hasher H;
-  uint64_t Events = 0;
-};
-
+using test::DigestObserver;
 using Stream = DigestObserver::Stream;
-
-void PrintTo(const Stream &S, std::ostream *OS) {
-  *OS << "{0x" << std::hex << S.Digest << std::dec << "ull, " << S.Events
-      << "ull}";
-}
 
 /// The profile stage's run: native, on the profile module, with the
 /// pipeline's default costs and first profile seed, on 8 cores.

@@ -190,3 +190,48 @@ TEST(Pipeline, ObserverReceivesEventsDuringRecord) {
   EXPECT_EQ(Obs.Weak,
             R.Stats.weakAcquiresTotal() * 2); // Acquires + releases.
 }
+
+// Profile run r has seed ProfileSeedBase + r and cycles through
+// ProfileCores, 2, 4, 8 cores; the profile stage and bench/paper's
+// profile-run study both take their runs from here.
+TEST(PipelineProfile, RunSequence) {
+  PipelineConfig C;
+  C.ProfileCores = 6;
+  const unsigned Cores[] = {6, 2, 4, 8, 6, 2};
+  for (unsigned Run = 0; Run != 6; ++Run) {
+    EXPECT_EQ(C.profileRun(Run).Seed, C.ProfileSeedBase + Run);
+    EXPECT_EQ(C.profileRun(Run).Cores, Cores[Run]);
+  }
+}
+
+// A faulting profile run is a typed error that names the lowest failing
+// run, the same for every AnalysisJobs; the plan stage and every
+// instrumented execution return it.
+TEST(PipelineProfile, FailedRunIsATypedError) {
+  const std::string Expected = "profile run 0 (seed 90001, 8 cores) failed: "
+                               "invalid store address in main";
+  const std::string Source = test::apacheWithInvalidStore();
+  for (unsigned Jobs : {1u, 8u}) {
+    PipelineConfig C;
+    C.AnalysisJobs = Jobs;
+    auto P = ChimeraPipeline::create({.Eval = Source, .Config = C});
+    ASSERT_TRUE(P) << P.error().message();
+    const support::Error &E = (*P)->profileError();
+    ASSERT_TRUE(bool(E)) << Jobs << " jobs";
+    EXPECT_EQ(E.message().rfind(Expected, 0), 0u) << E.message();
+    rt::ExecutionResult Rec = (*P)->record(7);
+    EXPECT_FALSE(Rec.Ok);
+    EXPECT_EQ(Rec.Error, E.message());
+  }
+}
+
+// With the function-lock optimization off the planner ignores the
+// profile, so no profile runs are made and none can fail.
+TEST(PipelineProfile, UnusedProfileIsNotRun) {
+  PipelineConfig C;
+  C.Planner.UseFunctionLocks = false;
+  auto P = ChimeraPipeline::create({.Eval = test::apacheWithInvalidStore(),
+                                    .Config = C});
+  ASSERT_TRUE(P) << P.error().message();
+  EXPECT_FALSE(bool((*P)->profileError()));
+}

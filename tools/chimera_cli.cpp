@@ -469,6 +469,10 @@ int main(int argc, char **argv) {
   }
 
   if (Command == "plan") {
+    if (const support::Error &E = Pipeline->profileError()) {
+      std::fprintf(stderr, "%s\n", E.message().c_str());
+      return 1;
+    }
     std::printf("%s",
                 Pipeline->plan()
                     .summary(Pipeline->originalModule())
