@@ -213,7 +213,7 @@ uint64_t evalBinary(BinOp Op, uint64_t A, uint64_t B, bool &DivByZero) {
 
 } // namespace
 
-template <bool Observed, bool Lockstep>
+template <bool Observed>
 [[gnu::always_inline]] inline Machine::Step
 Machine::execChunk(unsigned &LaneIdx, uint64_t MaxInsts, uint64_t AttemptStart,
                    ParkedCores &Park, uint64_t &Retired) {
@@ -221,47 +221,22 @@ Machine::execChunk(unsigned &LaneIdx, uint64_t MaxInsts, uint64_t AttemptStart,
   const unsigned K = static_cast<unsigned>(Lanes.size());
   for (unsigned J = 0; J != K; ++J) {
     Lane &X = Ls[J];
-    X.F = &X.T->frame();
-    X.Insts = X.F->DFunc->Insts.data();
-    X.Regs = X.F->Regs.data();
-    X.Ip = X.F->Ip;
     X.Time = X.TimeStart = Sched.coreTime(X.Core);
-    X.Instret = X.T->Instret;
     // Nothing a pure instruction does sets a pending operation, so a
-    // core that has one now has it until its next generic attempt.
-    X.PureEnd = hasPending(*X.T) ? X.Instret : X.StopTarget;
+    // core that has one now has it until its next generic attempt. The
+    // caller ran the first core's pending operations for this attempt.
+    X.PureEnd =
+        J != LaneIdx && hasPending(*X.T) ? X.T->Instret : X.StopTarget;
   }
-  // The caller ran the first core's pending operations for this attempt.
   Lane *L = &Ls[LaneIdx];
-  L->PureEnd = L->StopTarget;
 
   // Next is the lane with the lowest (clock, index) key other than the
-  // running one, and BusyLimit the clock at which the running core's key
-  // passes Next's. The first core may stand past another busy core's key
-  // (binding can move its clock); it still takes this first attempt, as
-  // the main loop would.
-  unsigned Next = K;
-  for (unsigned J = 0; Lockstep && J != K; ++J)
-    if (J != LaneIdx && (Next == K || Ls[J].Time < Ls[Next].Time))
-      Next = J;
-  uint64_t BusyLimit =
-      Next == K ? UINT64_MAX : Ls[Next].Time + (Next > LaneIdx ? 1 : 0);
-
-  // The running core's state lives in locals; the other cores' in their
-  // lanes. Time may already be at or past the limits on entry (a
-  // pending sync op charged cycles, or binding advanced the clock to the
-  // thread's ready time); the pre-batching loop still executed one
-  // instruction before noticing, so the loop checks the clock only
-  // after retiring. Every fast opcode charges Time and CpuBusyCycles the
-  // same amount, so the busy total is reconstructed from each core's
-  // Time delta at writeback.
-  Thread *T = L->T;
-  Frame *F = L->F;
-  const DecodedInst *Insts = L->Insts;
-  uint64_t *Regs = L->Regs;
-  uint32_t Ip = L->Ip;
-  uint64_t Time = L->Time;
-  uint64_t Limit = std::min(L->Stop, BusyLimit);
+  // running one, and Next.Limit the clock at which the running core's
+  // key passes Next's (never, with one lane). The first core may stand
+  // past another busy core's key (binding can move its clock); it still
+  // takes this first attempt, as the main loop would.
+  auto LaneTime = [Ls](unsigned J) { return Ls[J].Time; };
+  LanePick Next = pickLane(K, LaneIdx, LaneTime);
 
   // Costs and segment bounds live in locals for the same reason as the
   // register file pointer: the stores this loop makes could alias the
@@ -276,259 +251,261 @@ Machine::execChunk(unsigned &LaneIdx, uint64_t MaxInsts, uint64_t AttemptStart,
   ExecutionObserver *const Obs = Opts.Observer;
 
   ParkedCores P = Park;
-  uint64_t Above = L->AboveMask;
   uint64_t N = 0; ///< Instructions retired this chunk, over all cores.
-  uint64_t RunStart = 0; ///< N when the running core took over.
-  uint64_t RunEnd = std::min(MaxInsts, L->PureEnd - L->Instret);
   uint64_t MemOps = 0;
   uint64_t InstStart = AttemptStart; ///< Clock before this attempt.
   Step Result = Step::Continue;
   bool ThreadDone = false;
   uint64_t FinishNow = 0; ///< Pre-charge time of the finishing Ret.
 
+  // The running core's state lives in locals, loaded from its thread's
+  // top frame and its lane at the start of each run; the other cores'
+  // stays in their frames, threads and lanes. The inner loop is a loop
+  // of its own so that switching lanes does not take registers from it.
+  // Time may already be at or past the limits on entry (a pending sync
+  // op charged cycles, or binding advanced the clock to the thread's
+  // ready time); the pre-batching loop still executed one instruction
+  // before noticing, so the loop checks the clock only after retiring.
+  // Every fast opcode charges Time and CpuBusyCycles the same amount, so
+  // the busy total is reconstructed from each core's Time delta at
+  // writeback.
+  Thread *T;
+  Frame *F;
+  const DecodedInst *Insts;
+  uint64_t *Regs;
+  uint32_t Ip;
+  uint64_t Time, Limit;
+  uint64_t RunStart; ///< N when the running core took over.
+  uint64_t RunEnd;   ///< N at which its next attempt is a generic one.
   for (;;) {
-    const DecodedInst &I = Insts[Ip];
-    switch (I.Op) {
-    case Opcode::ConstInt:
-      Regs[I.Dst] = I.Imm;
-      Time += CAlu;
-      ++Ip;
-      break;
+    T = L->T;
+    F = &T->frame();
+    Insts = F->DFunc->Insts.data();
+    Regs = F->Regs.data();
+    Ip = F->Ip;
+    Time = L->Time;
+    Limit = std::min(L->Stop, Next.Limit);
+    RunStart = N;
+    RunEnd = N + std::min(MaxInsts - N, L->PureEnd - T->Instret);
+    if (N == RunEnd)
+      break; // Its next attempt is a generic one.
 
-    case Opcode::Move:
-      Regs[I.Dst] = Regs[I.A];
-      Time += CAlu;
-      ++Ip;
-      break;
-
-    case Opcode::Unary: {
-      uint64_t A = Regs[I.A];
-      Regs[I.Dst] = static_cast<UnOp>(I.Sub) == UnOp::Neg
-                        ? static_cast<uint64_t>(-static_cast<int64_t>(A))
-                        : static_cast<uint64_t>(A == 0);
-      Time += CAlu;
-      ++Ip;
-      break;
-    }
-
-    case Opcode::Binary: {
-      bool DivByZero = false;
-      uint64_t V = evalBinary(static_cast<BinOp>(I.Sub), Regs[I.A],
-                              Regs[I.B], DivByZero);
-      if (DivByZero) {
-        fail("division by zero in " + F->func().Name + " (line " +
-             std::to_string(I.Line) + ")");
-        Result = Step::Fault;
-        goto done;
-      }
-      Regs[I.Dst] = V;
-      Time += CAlu;
-      ++Ip;
-      break;
-    }
-
-    case Opcode::AddrGlobal: {
-      uint64_t Addr = I.Imm;
-      if (I.A != NoReg)
-        Addr += Regs[I.A];
-      Regs[I.Dst] = Addr;
-      Time += CAlu;
-      ++Ip;
-      break;
-    }
-
-    case Opcode::PtrAdd:
-      Regs[I.Dst] = Regs[I.A] + Regs[I.B];
-      Time += CAlu;
-      ++Ip;
-      break;
-
-    case Opcode::Load: {
-      const uint64_t Addr = Regs[I.A]; // Dst may be the address register.
-      const uint64_t *Word = MV.access(Addr);
-      if (!Word) {
-        fail("invalid load address in " + F->func().Name + " (line " +
-             std::to_string(I.Line) + ")");
-        Result = Step::Fault;
-        goto done;
-      }
-      Regs[I.Dst] = *Word;
-      ++MemOps;
-      if constexpr (Observed)
-        Obs->onMemoryAccess(T->Tid, Addr, /*IsWrite=*/false, F->func().Index,
-                            I.Ident, Time);
-      Time += CLoad;
-      ++Ip;
-      break;
-    }
-
-    case Opcode::Store: {
-      const uint64_t Addr = Regs[I.A];
-      uint64_t *Word = MV.access(Addr);
-      if (!Word) {
-        fail("invalid store address in " + F->func().Name + " (line " +
-             std::to_string(I.Line) + ")");
-        Result = Step::Fault;
-        goto done;
-      }
-      *Word = Regs[I.B];
-      ++MemOps;
-      if constexpr (Observed)
-        Obs->onMemoryAccess(T->Tid, Addr, /*IsWrite=*/true, F->func().Index,
-                            I.Ident, Time);
-      Time += CStore;
-      ++Ip;
-      break;
-    }
-
-    case Opcode::Br:
-      Ip = I.Succ0;
-      Time += CBranch;
-      break;
-
-    case Opcode::CondBr:
-      Ip = Regs[I.A] != 0 ? I.Succ0 : I.Succ1;
-      Time += CBranch;
-      break;
-
-    case Opcode::Alloc: {
-      uint64_t Words = Regs[I.A];
-      uint64_t Addr = Mem.allocate(Words);
-      if (!Addr) {
-        fail("heap exhausted allocating " + std::to_string(Words) +
-             " words");
-        Result = Step::Fault;
-        goto done;
-      }
-      MV = Mem.view(); // allocate() moved the heap bound.
-      Regs[I.Dst] = Addr;
-      Time += CAlloc;
-      ++Ip;
-      break;
-    }
-
-    case Opcode::Call: {
-      const DecodedFunction &Callee = Prog.function(I.Id);
-      Frame NewFrame;
-      NewFrame.DFunc = &Callee;
-      NewFrame.Regs.assign(Callee.Src->NumRegs, 0);
-      const Reg *Args = F->DFunc->ArgPool.data() + I.ArgsIdx;
-      for (uint16_t J = 0; J != I.ArgsLen; ++J)
-        NewFrame.Regs[J] = Regs[Args[J]];
-      NewFrame.RetDst = I.Dst;
-      if constexpr (Observed)
-        Obs->onFunctionEnter(T->Tid, Callee.Src->Index, Time);
-      Time += CCall;
-      F->Ip = Ip + 1; // Caller resumes after the call.
-      T->Stack.push_back(std::move(NewFrame));
-      // The push may reallocate the stack; rehoist the frame state.
-      F = &T->Stack.back();
-      Insts = F->DFunc->Insts.data();
-      Regs = F->Regs.data();
-      Ip = 0;
-      break;
-    }
-
-    case Opcode::Ret: {
-      bool HasValue = I.A != NoReg;
-      uint64_t Value = HasValue ? Regs[I.A] : 0;
-      uint64_t Now = Time; // Pre-charge clock, as for the finish below.
-      if constexpr (Observed)
-        Obs->onFunctionExit(T->Tid, F->func().Index, Now);
-      Time += CRet;
-      ir::Reg RetDst = F->RetDst;
-      T->Stack.pop_back();
-      if (T->Stack.empty()) {
-        T->RetValue = HasValue ? Value : 0;
-        ++N; // The return retires.
-        ThreadDone = true;
-        FinishNow = Now;
-        Result = Step::Finished;
-        goto done;
-      }
-      F = &T->Stack.back();
-      Insts = F->DFunc->Insts.data();
-      Regs = F->Regs.data();
-      Ip = F->Ip;
-      if (RetDst != NoReg) {
-        assert(HasValue && "value-expecting call returned void");
-        Regs[RetDst] = Value;
-      }
-      break;
-    }
-
-    default:
-      // Scheduler- or log-visible opcode: leave it (unconsumed) for the
-      // generic dispatcher.
-      goto done;
-    }
-
-    ++N;
-    // The hops the main loop would take before this attempt.
-    if (P.Mask)
-      P.hop(InstStart, Above);
-    InstStart = Time;
-    if (N == RunEnd || Time >= Limit) [[unlikely]] {
-      // The attempt ends the chunk on this core, or its next attempt is
-      // a generic one and it still holds the lowest key.
-      if (!Lockstep || Time >= L->Stop || N == MaxInsts || Time < BusyLimit)
+    for (;;) {
+      const DecodedInst &I = Insts[Ip];
+      switch (I.Op) {
+      case Opcode::ConstInt:
+        Regs[I.Dst] = I.Imm;
+        Time += CAlu;
+        ++Ip;
         break;
-      // Next now holds the lowest key: the main loop would hop the
-      // parked cores below it (P takes those hops with its first
-      // attempt) and step that core next.
-      L->F = F;
-      L->Insts = Insts;
-      L->Regs = Regs;
-      L->Ip = Ip;
-      L->Time = Time;
-      L->Instret += N - RunStart;
-      const unsigned From = LaneIdx;
-      LaneIdx = Next;
-      L = &Ls[Next];
-      // The new Next: the lowest key among the lanes but the new running
-      // one. Only the core that just ran has moved since the last pick.
-      Next = From;
-      uint64_t NextTime = Time;
-      for (unsigned J = 0; J != K; ++J) {
-        const uint64_t X = Ls[J].Time;
-        const bool Lower = J != LaneIdx && J != From &&
-                           (X < NextTime || (X == NextTime && J < Next));
-        Next = Lower ? J : Next;
-        NextTime = Lower ? X : NextTime;
+
+      case Opcode::Move:
+        Regs[I.Dst] = Regs[I.A];
+        Time += CAlu;
+        ++Ip;
+        break;
+
+      case Opcode::Unary: {
+        uint64_t A = Regs[I.A];
+        Regs[I.Dst] = static_cast<UnOp>(I.Sub) == UnOp::Neg
+                          ? static_cast<uint64_t>(-static_cast<int64_t>(A))
+                          : static_cast<uint64_t>(A == 0);
+        Time += CAlu;
+        ++Ip;
+        break;
       }
-      BusyLimit = NextTime + (Next > LaneIdx ? 1 : 0);
-      T = L->T;
-      F = L->F;
-      Insts = L->Insts;
-      Regs = L->Regs;
-      Ip = L->Ip;
-      Time = L->Time;
-      Limit = std::min(L->Stop, BusyLimit);
-      Above = L->AboveMask;
+
+      case Opcode::Binary: {
+        bool DivByZero = false;
+        uint64_t V = evalBinary(static_cast<BinOp>(I.Sub), Regs[I.A],
+                                Regs[I.B], DivByZero);
+        if (DivByZero) {
+          fail("division by zero in " + F->func().Name + " (line " +
+               std::to_string(I.Line) + ")");
+          Result = Step::Fault;
+          goto done;
+        }
+        Regs[I.Dst] = V;
+        Time += CAlu;
+        ++Ip;
+        break;
+      }
+
+      case Opcode::AddrGlobal: {
+        uint64_t Addr = I.Imm;
+        if (I.A != NoReg)
+          Addr += Regs[I.A];
+        Regs[I.Dst] = Addr;
+        Time += CAlu;
+        ++Ip;
+        break;
+      }
+
+      case Opcode::PtrAdd:
+        Regs[I.Dst] = Regs[I.A] + Regs[I.B];
+        Time += CAlu;
+        ++Ip;
+        break;
+
+      case Opcode::Load: {
+        const uint64_t Addr = Regs[I.A]; // Dst may be the address register.
+        const uint64_t *Word = MV.access(Addr);
+        if (!Word) {
+          fail("invalid load address in " + F->func().Name + " (line " +
+               std::to_string(I.Line) + ")");
+          Result = Step::Fault;
+          goto done;
+        }
+        Regs[I.Dst] = *Word;
+        ++MemOps;
+        if constexpr (Observed)
+          Obs->onMemoryAccess(T->Tid, Addr, /*IsWrite=*/false, F->func().Index,
+                              I.Ident, Time);
+        Time += CLoad;
+        ++Ip;
+        break;
+      }
+
+      case Opcode::Store: {
+        const uint64_t Addr = Regs[I.A];
+        uint64_t *Word = MV.access(Addr);
+        if (!Word) {
+          fail("invalid store address in " + F->func().Name + " (line " +
+               std::to_string(I.Line) + ")");
+          Result = Step::Fault;
+          goto done;
+        }
+        *Word = Regs[I.B];
+        ++MemOps;
+        if constexpr (Observed)
+          Obs->onMemoryAccess(T->Tid, Addr, /*IsWrite=*/true, F->func().Index,
+                              I.Ident, Time);
+        Time += CStore;
+        ++Ip;
+        break;
+      }
+
+      case Opcode::Br:
+        Ip = I.Succ0;
+        Time += CBranch;
+        break;
+
+      case Opcode::CondBr:
+        Ip = Regs[I.A] != 0 ? I.Succ0 : I.Succ1;
+        Time += CBranch;
+        break;
+
+      case Opcode::Alloc: {
+        uint64_t Words = Regs[I.A];
+        uint64_t Addr = Mem.allocate(Words);
+        if (!Addr) {
+          fail("heap exhausted allocating " + std::to_string(Words) +
+               " words");
+          Result = Step::Fault;
+          goto done;
+        }
+        MV = Mem.view(); // allocate() moved the heap bound.
+        Regs[I.Dst] = Addr;
+        Time += CAlloc;
+        ++Ip;
+        break;
+      }
+
+      case Opcode::Call: {
+        const DecodedFunction &Callee = Prog.function(I.Id);
+        Frame NewFrame;
+        NewFrame.DFunc = &Callee;
+        NewFrame.Regs.assign(Callee.Src->NumRegs, 0);
+        const Reg *Args = F->DFunc->ArgPool.data() + I.ArgsIdx;
+        for (uint16_t J = 0; J != I.ArgsLen; ++J)
+          NewFrame.Regs[J] = Regs[Args[J]];
+        NewFrame.RetDst = I.Dst;
+        if constexpr (Observed)
+          Obs->onFunctionEnter(T->Tid, Callee.Src->Index, Time);
+        Time += CCall;
+        F->Ip = Ip + 1; // Caller resumes after the call.
+        T->Stack.push_back(std::move(NewFrame));
+        // The push may reallocate the stack; rehoist the frame state.
+        F = &T->Stack.back();
+        Insts = F->DFunc->Insts.data();
+        Regs = F->Regs.data();
+        Ip = 0;
+        break;
+      }
+
+      case Opcode::Ret: {
+        bool HasValue = I.A != NoReg;
+        uint64_t Value = HasValue ? Regs[I.A] : 0;
+        uint64_t Now = Time; // Pre-charge clock, as for the finish below.
+        if constexpr (Observed)
+          Obs->onFunctionExit(T->Tid, F->func().Index, Now);
+        Time += CRet;
+        ir::Reg RetDst = F->RetDst;
+        T->Stack.pop_back();
+        if (T->Stack.empty()) {
+          T->RetValue = HasValue ? Value : 0;
+          ++N; // The return retires.
+          ThreadDone = true;
+          FinishNow = Now;
+          Result = Step::Finished;
+          goto done;
+        }
+        F = &T->Stack.back();
+        Insts = F->DFunc->Insts.data();
+        Regs = F->Regs.data();
+        Ip = F->Ip;
+        if (RetDst != NoReg) {
+          assert(HasValue && "value-expecting call returned void");
+          Regs[RetDst] = Value;
+        }
+        break;
+      }
+
+      default:
+        // Scheduler- or log-visible opcode: leave it (unconsumed) for the
+        // generic dispatcher.
+        goto done;
+      }
+
+      ++N;
+      // The hops the main loop would take before this attempt, on every
+      // idle core: the run's end keeps those of its parked cores.
+      P.hop(InstStart, ~uint64_t(0));
       InstStart = Time;
-      RunStart = N;
-      RunEnd = N + std::min(MaxInsts - N, L->PureEnd - L->Instret);
-      if (N == RunEnd)
-        break; // Its next attempt is a generic one.
+      if (N == RunEnd || Time >= Limit) [[unlikely]]
+        break;
     }
+
+    // The attempt ends the chunk on this core, or its next attempt is a
+    // generic one and it still holds the lowest key.
+    if (Time >= L->Stop || N == MaxInsts || Time < Next.Limit)
+      break;
+    // Next now holds the lowest key: the main loop would hop the parked
+    // cores below it (P takes those hops with its first attempt) and
+    // step that core next.
+    F->Ip = Ip;
+    L->Time = Time;
+    T->Instret += N - RunStart;
+    P.Low &= L->AboveMask;
+    LaneIdx = Next.Lane;
+    L = &Ls[LaneIdx];
+    Next = pickLane(K, LaneIdx, LaneTime);
+    InstStart = L->Time;
   }
 
 done:
   // A finishing Ret retires and a fault ends its attempt; a generic
   // opcode is left for execInstruction, which is stepCore's attempt.
-  if (Result != Step::Continue && P.Mask)
-    P.hop(InstStart, Above);
+  if (Result != Step::Continue)
+    P.hop(InstStart, ~uint64_t(0));
+  P.Low &= L->AboveMask;
   Park = P;
-  L->F = F;
-  L->Ip = Ip;
+  if (!ThreadDone)
+    F->Ip = Ip; // The popped frame of a finishing Ret is already gone.
   L->Time = Time;
-  L->Instret += N - RunStart;
+  T->Instret += N - RunStart;
   for (unsigned J = 0; J != K; ++J) {
     Lane &X = Ls[J];
-    // The popped frame of a finishing Ret is already gone.
-    if (!(ThreadDone && &X == L))
-      X.F->Ip = X.Ip;
-    X.T->Instret = X.Instret;
     Stats.CpuBusyCycles += X.Time - X.TimeStart;
     Sched.setCoreTime(X.Core, X.Time);
   }
@@ -546,16 +523,9 @@ Machine::Step Machine::execFast(unsigned &Lane, uint64_t MaxInsts,
   // GCC does not split cold code out of a template instantiation (a
   // COMDAT function); in this ordinary function it moves the fault paths
   // out of both loops.
-  if (Lanes.size() == 1)
-    return Opts.Observer ? execChunk<true, false>(Lane, MaxInsts, AttemptStart,
-                                                  Park, Retired)
-                         : execChunk<false, false>(Lane, MaxInsts,
-                                                   AttemptStart, Park, Retired);
   return Opts.Observer
-             ? execChunk<true, true>(Lane, MaxInsts, AttemptStart, Park,
-                                     Retired)
-             : execChunk<false, true>(Lane, MaxInsts, AttemptStart, Park,
-                                      Retired);
+             ? execChunk<true>(Lane, MaxInsts, AttemptStart, Park, Retired)
+             : execChunk<false>(Lane, MaxInsts, AttemptStart, Park, Retired);
 }
 
 Machine::Step Machine::execInstruction(Thread &T, unsigned Core) {

@@ -638,63 +638,16 @@ bool Machine::stepCore(unsigned Core) {
   // Sort the cores into busy ones (the lanes), parked ones, and idle
   // ones that bound the batch; of the latter only the lowest (clock,
   // index) key matters. A batch of one attempt ends after it whatever
-  // its bounds, so it runs on its own core alone.
+  // its bounds, so it runs on its own core alone and skips them.
   const uint64_t Start = Sched.coreTime(Core);
-  const bool CanPark = !Sched.hasReady() && Opts.NumCores <= 64;
   Lanes.clear();
   ParkedCores Park;
   Park.Level = Start;
   unsigned J = 0; // The lane of the next attempt.
   uint64_t IdleClock = UINT64_MAX;
   unsigned IdleCore = 0;
-  // The clock at which Core stops holding the lowest busy key.
-  uint64_t BusyLimit = UINT64_MAX;
-  const unsigned First = Batch > 1 ? 0 : Core;
-  const unsigned Last = Batch > 1 ? Opts.NumCores : Core + 1;
-  for (unsigned C = First; C != Last; ++C) {
-    const uint64_t Clock = Sched.coreTime(C);
-    if (CoreThread[C] >= 0) {
-      if (C == Core)
-        J = static_cast<unsigned>(Lanes.size());
-      else
-        BusyLimit = std::min(BusyLimit, Clock + (C > Core ? 1 : 0));
-      Lane &L = Lanes.emplace_back();
-      L.Core = C;
-      L.T = Threads[CoreThread[C]].get();
-    } else if (CanPark &&
-               (Clock == Start + 1 || (Clock == Start && C > Core))) {
-      Park.Mask |= uint64_t(1) << C;
-      if (Clock == Start)
-        Park.Low |= uint64_t(1) << C;
-    } else if (Clock < IdleClock) {
-      IdleClock = Clock;
-      IdleCore = C;
-    }
-  }
-  if (Park.Mask && Start >= BusyLimit) {
-    // Binding moved this core's clock past another busy core's key, so
-    // the parked clocks are not relative to the lowest busy clock.
-    for (unsigned C = 0; C != Opts.NumCores; ++C) {
-      const uint64_t Clock = Sched.coreTime(C);
-      if ((Park.Mask >> C & 1) &&
-          (Clock < IdleClock || (Clock == IdleClock && C < IdleCore))) {
-        IdleClock = Clock;
-        IdleCore = C;
-      }
-    }
-    Park.Mask = Park.Low = 0;
-  }
-  // A parked core's hop to clock + 1 polls weak timeouts there; end the
-  // batch before such a poll could find a matured wait. Waits begun
-  // during the batch block their thread, which ends it anyway.
   uint64_t MatureLimit = UINT64_MAX;
-  if (PollWeak && Park.Mask) {
-    uint64_t Mature = weakMaturity();
-    if (Mature != UINT64_MAX)
-      MatureLimit = std::max<uint64_t>(Mature, 1) - 1;
-  }
-  const uint64_t NextWake =
-      SleepingThreads && Batch > 1 ? nextWakeTime() : UINT64_MAX;
+  uint64_t NextWake = UINT64_MAX;
   // A core stays below the bounding idle core's key while its clock is
   // below IdleLimit(C) (ties go to the lowest index).
   auto IdleLimit = [&](unsigned C) {
@@ -705,11 +658,63 @@ bool Machine::stepCore(unsigned Core) {
   // count at which each thread must freeze. The check runs before every
   // attempt (and bounds execFast's runs), so a thread is parked at
   // exactly its target — anything past it is a divergence.
-  for (Lane &L : Lanes) {
-    L.Stop = std::min({CoreSliceEnd[L.Core], IdleLimit(L.Core), MatureLimit,
-                       NextWake});
+  auto AddLane = [&](unsigned C) {
+    Lane &L = Lanes.emplace_back();
+    L.Core = C;
+    L.T = Threads[CoreThread[C]].get();
+    L.Stop = UINT64_MAX;
     L.StopTarget = Opts.StopAt ? stopTarget(L.T->Tid) : UINT64_MAX;
-    L.AboveMask = Park.above(L.Core);
+  };
+  if (Batch == 1) {
+    AddLane(Core);
+  } else {
+    const bool CanPark = !Sched.hasReady() && Opts.NumCores <= 64;
+    for (unsigned C = 0; C != Opts.NumCores; ++C) {
+      const uint64_t Clock = Sched.coreTime(C);
+      if (CoreThread[C] >= 0) {
+        if (C == Core)
+          J = static_cast<unsigned>(Lanes.size());
+        AddLane(C);
+      } else if (CanPark &&
+                 (Clock == Start + 1 || (Clock == Start && C > Core))) {
+        Park.Mask |= uint64_t(1) << C;
+        if (Clock == Start)
+          Park.Low |= uint64_t(1) << C;
+      } else if (Clock < IdleClock) {
+        IdleClock = Clock;
+        IdleCore = C;
+      }
+    }
+    const unsigned K = static_cast<unsigned>(Lanes.size());
+    auto CoreTime = [&](unsigned X) { return Sched.coreTime(Lanes[X].Core); };
+    if (Park.Mask && Start >= pickLane(K, J, CoreTime).Limit) {
+      // Binding moved this core's clock past another busy core's key, so
+      // the parked clocks are not relative to the lowest busy clock.
+      for (unsigned C = 0; C != Opts.NumCores; ++C) {
+        const uint64_t Clock = Sched.coreTime(C);
+        if ((Park.Mask >> C & 1) &&
+            (Clock < IdleClock || (Clock == IdleClock && C < IdleCore))) {
+          IdleClock = Clock;
+          IdleCore = C;
+        }
+      }
+      Park.Mask = Park.Low = 0;
+    }
+    // A parked core's hop to clock + 1 polls weak timeouts there; end the
+    // batch before such a poll could find a matured wait. Waits begun
+    // during the batch block their thread, which ends it anyway.
+    if (PollWeak && Park.Mask) {
+      uint64_t Mature = weakMaturity();
+      if (Mature != UINT64_MAX)
+        MatureLimit = std::max<uint64_t>(Mature, 1) - 1;
+    }
+    if (SleepingThreads)
+      NextWake = nextWakeTime();
+    for (Lane &L : Lanes) {
+      L.Stop = std::min(
+          {CoreSliceEnd[L.Core], IdleLimit(L.Core), MatureLimit, NextWake});
+      L.AboveMask = Park.above(L.Core);
+    }
   }
 
   // Straight-line runs of pure instructions go through execFast, which
@@ -725,7 +730,6 @@ bool Machine::stepCore(unsigned Core) {
   // clock reaches its Stop (the earliest of its slice end, the idle
   // bound, the maturity bound and the next wake).
   for (;;) {
-    const unsigned From = J; // The lane of this attempt.
     Core = Lanes[J].Core;
     T = Lanes[J].T;
     const uint64_t AttemptStart = Sched.coreTime(Core);
@@ -836,19 +840,13 @@ bool Machine::stepCore(unsigned Core) {
       return true;
     Batch -= Attempts;
 
-    if (J == From && Now < BusyLimit)
-      continue;
     // The next attempt runs on the busy core that now holds the lowest
-    // key (ties to the lowest index). The main loop would first hop the
-    // parked cores below it; Park takes those hops with that attempt.
-    auto Clock = [&](unsigned X) { return Sched.coreTime(Lanes[X].Core); };
-    for (unsigned X = 0; X != Lanes.size(); ++X)
-      if (Clock(X) < Clock(J) || (X < J && Clock(X) == Clock(J)))
-        J = X;
-    BusyLimit = UINT64_MAX;
-    for (unsigned X = 0; X != Lanes.size(); ++X)
-      if (X != J)
-        BusyLimit = std::min(BusyLimit, Clock(X) + (X > J ? 1 : 0));
+    // key. The main loop would first hop the parked cores below it; Park
+    // takes those hops with that attempt.
+    const unsigned K = static_cast<unsigned>(Lanes.size());
+    J = pickLane(K, K, [&](unsigned X) {
+          return Sched.coreTime(Lanes[X].Core);
+        }).Lane;
   }
 }
 

@@ -210,6 +210,8 @@ private:
     /// above() is \p Above. Keys never decrease within a batch, so
     /// Clock >= Level: a core at Level + 1 is now at the attempt's
     /// clock, and any other core is below the key and hops past it.
+    /// Masking commutes with the hops, so a run of attempts on one core
+    /// may pass ~0 and apply that core's above() once at its end.
     void hop(uint64_t Clock, uint64_t Above) {
       const uint64_t Gap = Clock - Level;
       Low = (Gap == 0 ? Low : Gap == 1 ? ~Low : 0) & Above;
@@ -228,16 +230,34 @@ private:
     uint64_t Stop = 0;
     uint64_t StopTarget = 0; ///< Epoch fence (UINT64_MAX when unfenced).
     uint64_t AboveMask = 0;  ///< ParkedCores::above(Core).
-    Frame *F = nullptr;
-    const DecodedInst *Insts = nullptr;
-    uint64_t *Regs = nullptr;
-    uint32_t Ip = 0;
-    uint64_t Time = 0, TimeStart = 0;
-    uint64_t Instret = 0; ///< The thread's retired-instruction count.
-    /// The Instret at which the core's next attempt must be a generic
-    /// one (pending operations, the epoch fence).
+    uint64_t Time = 0, TimeStart = 0; ///< The core's clock, and at entry.
+    /// The thread's Instret at which the core's next attempt must be a
+    /// generic one (pending operations, the epoch fence).
     uint64_t PureEnd = 0;
   };
+
+  /// The scheduling rule of a dispatch batch: the lane other than
+  /// \p Except whose core holds the lowest (clock, index) key, where
+  /// \p Clock(J) is lane J's clock (lanes are in core order, so lane
+  /// order breaks ties). Limit is the clock at which \p Except's key
+  /// passes that lane's; Lane is K and Limit UINT64_MAX when there is
+  /// none. Pass Except = K to pick among all lanes.
+  struct LanePick {
+    unsigned Lane;
+    uint64_t Limit;
+  };
+  template <typename ClockFn>
+  static LanePick pickLane(unsigned K, unsigned Except, ClockFn Clock) {
+    unsigned Next = K;
+    uint64_t Low = UINT64_MAX; // No clock gets there.
+    for (unsigned J = 0; J != K; ++J) {
+      const uint64_t X = Clock(J);
+      const bool Lower = J != Except && X < Low;
+      Next = Lower ? J : Next;
+      Low = Lower ? X : Low;
+    }
+    return {Next, Next == K ? UINT64_MAX : Low + (Next > Except ? 1 : 0)};
+  }
 
   // -- Top-level loop (Machine.cpp).
   void startThread(uint32_t FuncId, const std::vector<uint64_t> &Args,
@@ -285,8 +305,9 @@ private:
   /// with an attempt that began at \p AttemptStart, it retires up to
   /// \p MaxInsts pure instructions (ALU/memory/branch/call/ret — nothing
   /// scheduler- or log-visible) across the batch's busy cores, one at a
-  /// time on the core holding the lowest (clock, index) key, with each
-  /// core's frame, register file and clock hoisted into its lane. It
+  /// time on the core holding the lowest (clock, index) key, with the
+  /// running core's frame, register file and clock hoisted into locals
+  /// and the others' clocks in their lanes. It
   /// returns when the chosen core meets an opcode for execInstruction,
   /// pending operations or its epoch fence (Continue, nothing retired
   /// there), or when an attempt on it reaches the core's Stop clock, the
@@ -300,7 +321,7 @@ private:
   /// execFast's loop, inlined into it once per value of \p Observed
   /// (Opts.Observer != nullptr), so the unobserved loop has no observer
   /// code at all.
-  template <bool Observed, bool Lockstep>
+  template <bool Observed>
   Step execChunk(unsigned &Lane, uint64_t MaxInsts, uint64_t AttemptStart,
                  ParkedCores &Park, uint64_t &Retired);
   Step execPending(Thread &T, unsigned Core); ///< Revocations/reacquires.
