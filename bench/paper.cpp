@@ -28,10 +28,8 @@
 #include "analysis/CallGraph.h"
 #include "analysis/Escape.h"
 #include "codegen/CodeGen.h"
-#include "profile/Profiler.h"
 #include "race/RelayDetector.h"
 #include "replay/LogCodec.h"
-#include "runtime/Machine.h"
 
 #include <cmath>
 #include <vector>
@@ -98,6 +96,8 @@ struct WorkloadRuns {
   rt::RunStats Replay; ///< Of Record[At4]'s log.
   replay::LogSizes Sizes;
   uint64_t Work[NumWorkCounters] = {};
+  /// The profile stage's cumulative pair count after each run it made.
+  std::vector<uint64_t> PairsAfterRun;
   std::vector<ThresholdRow> Ablation; ///< Radix only.
 };
 
@@ -179,6 +179,10 @@ WorkloadRuns measure(WorkloadKind K) {
     obs::Snapshot Work = metricsOf(P).diff(Before);
     for (unsigned I = 0; I != NumWorkCounters; ++I)
       W.Work[I] = static_cast<uint64_t>(Work.value(WorkCounters[I]));
+    const auto ProfileRuns = Work.value("pipeline.profile.runs");
+    for (int64_t Run = 0; Run != ProfileRuns; ++Run)
+      W.PairsAfterRun.push_back(static_cast<uint64_t>(Work.value(
+          "pipeline.profile.pairs_after_run." + std::to_string(Run))));
     W.Record[C] = W.ByConfig[FullConfig] = Out.Record.Stats;
     W.Replay = Out.Replay.Stats;
     W.Sizes = replay::measureLog(Out.Record.Log);
@@ -513,54 +517,32 @@ void printAblations(const WorkloadRuns &Radix) {
 //===----------------------------------------------------------------------===//
 // §7.3 profile-run sensitivity: the set of observed concurrent function
 // pairs saturates after a few profile runs (the paper reports five for
-// pfscan and three for water). Prints the cumulative pair count per
-// added run for the two function-lock-sensitive applications.
+// pfscan and three for water). Prints, for every workload, the
+// cumulative pair count after each run its 4-worker pipeline's profile
+// stage made, read from the stage's metrics.
 //===----------------------------------------------------------------------===//
 
-void printProfileRuns() {
-  const unsigned MaxRuns = 20;
+void printProfileRuns(const std::vector<WorkloadRuns> &Runs) {
   section("profile_runs");
   std::printf("Profile-run sensitivity (paper §7.3): cumulative "
-              "concurrent-function-pair count per profile run\n\n");
-
-  for (WorkloadKind K : {WorkloadKind::Pfscan, WorkloadKind::Water}) {
-    auto Compiled =
-        compileMiniCEx(workloadSource(K, profileParams(K)), nameOf(K));
-    if (!Compiled) {
-      std::fprintf(stderr, "compile failed: %s\n",
-                   Compiled.error().message().c_str());
-      std::exit(1);
-    }
-    auto M = Compiled.take();
-
-    // The run sequence of the pipeline's profile stage (run r is
-    // printed as run r + 1).
-    const core::PipelineConfig Config = pipelineRequest(K, 4).Config;
-    profile::ProfileData Cumulative;
-    std::printf("%-8s:", nameOf(K));
-    unsigned SaturatedAt = MaxRuns;
-    size_t Prev = 0;
-    for (unsigned Run = 0; Run != MaxRuns; ++Run) {
-      const core::PipelineConfig::ProfileRun Spec = Config.profileRun(Run);
-      profile::ConcurrencyProfiler Prof;
-      rt::MachineOptions MO;
-      MO.Seed = Spec.Seed;
-      MO.NumCores = Spec.Cores;
-      MO.Costs = Config.Costs;
-      MO.Observer = &Prof;
-      rt::Machine Machine(*M, MO);
-      requireOk(Machine.run(), "profile run");
-      Cumulative.merge(Prof.finish());
-      std::printf(" %3zu", Cumulative.numPairs());
-      if (Cumulative.numPairs() != Prev)
+              "concurrent-function-pair count after each run the profile "
+              "stage made (4 workers)\n\n");
+  for (const WorkloadRuns &W : Runs) {
+    std::printf("%-8s:", nameOf(W.Kind));
+    unsigned SaturatedAt = 0;
+    for (unsigned Run = 0; Run != W.PairsAfterRun.size(); ++Run) {
+      std::printf(" %3llu",
+                  static_cast<unsigned long long>(W.PairsAfterRun[Run]));
+      if (Run == 0 || W.PairsAfterRun[Run] != W.PairsAfterRun[Run - 1])
         SaturatedAt = Run + 1;
-      Prev = Cumulative.numPairs();
     }
-    std::printf("   (saturates after run %u)\n", SaturatedAt);
+    std::printf("   (%zu runs, saturates after run %u)\n",
+                W.PairsAfterRun.size(), SaturatedAt);
   }
-
-  std::printf("\npaper reference: pairs saturate after ~5 runs (pfscan) "
-              "and ~3 runs (water)\n");
+  std::printf("\nthe stage runs waves of 4 and stops after the first wave "
+              "past the first that adds no pair\n"
+              "paper reference: pairs saturate after ~5 runs (pfscan) and "
+              "~3 runs (water)\n");
 }
 
 //===----------------------------------------------------------------------===//
@@ -621,7 +603,7 @@ int main() {
     if (W.Kind == WorkloadKind::Radix)
       printAblations(W);
   std::printf("\n");
-  printProfileRuns();
+  printProfileRuns(Runs);
   std::printf("\n");
   printWorkCounters(Runs);
   return 0;

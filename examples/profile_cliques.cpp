@@ -39,7 +39,7 @@ int main() {
 
   // 2. Profiling: which racy functions ever ran concurrently?
   const profile::ProfileData &Profile = Pipeline->profileData();
-  std::printf("\n=== profiling over %u runs: concurrency facts ===\n",
+  std::printf("\n=== profiling over up to %u runs: concurrency facts ===\n",
               Pipeline->config().ProfileRuns);
   std::vector<uint32_t> RacyFuncs;
   for (const auto &A : Races.racyInstructions())

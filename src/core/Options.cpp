@@ -13,8 +13,8 @@ unsigned PipelineConfig::effectiveAnalysisJobs() const {
 }
 
 PipelineConfig::ProfileRun PipelineConfig::profileRun(unsigned Run) const {
-  const unsigned CoreVariants[] = {ProfileCores, 2, 4, 8};
-  return {ProfileSeedBase + Run, CoreVariants[Run % 4]};
+  const unsigned CoreVariants[ProfileWave] = {ProfileCores, 2, 4, 8};
+  return {ProfileSeedBase + Run, CoreVariants[Run % ProfileWave]};
 }
 
 support::Error PipelineConfig::validate() const {

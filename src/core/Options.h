@@ -36,7 +36,12 @@ struct PipelineConfig {
   unsigned NumCores = 8;
 
   /// Profiling environment (paper: 20 runs, 2 workers, small inputs —
-  /// inputs vary because each run uses a different seed).
+  /// inputs vary because each run uses a different seed). Here
+  /// ProfileRuns is a cap: the stage runs profileRun(0), profileRun(1),
+  /// ... in waves of ProfileWave consecutive runs and stops after the
+  /// first wave other than the first that adds no concurrent pair, so
+  /// it makes at least two waves (when the cap allows) and never more
+  /// than ProfileRuns runs.
   unsigned ProfileRuns = 20;
   unsigned ProfileCores = 8;
   uint64_t ProfileSeedBase = 90001;
@@ -44,12 +49,12 @@ struct PipelineConfig {
   /// The seed and core count of profile run \p Run (0-based): seeds
   /// count up from ProfileSeedBase, and core counts cycle through
   /// ProfileCores, 2, 4, 8 (machine diversity makes the observed
-  /// concurrency more robust). The profile stage and bench/paper's
-  /// profile-run study both take their runs from here.
+  /// concurrency more robust). One profile wave is one cycle.
   struct ProfileRun {
     uint64_t Seed;
     unsigned Cores;
   };
+  static constexpr unsigned ProfileWave = 4;
   ProfileRun profileRun(unsigned Run) const;
 
   /// Host worker threads for the analysis/profiling stages (profile-run

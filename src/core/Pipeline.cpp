@@ -10,11 +10,20 @@
 #include "service/ArtifactCache.h"
 #include "support/Hash.h"
 
+#include <algorithm>
 #include <cassert>
 #include <type_traits>
 
 using namespace chimera;
 using namespace chimera::core;
+
+namespace {
+/// How the profile stage decides how many runs to make, folded into the
+/// plan cache key so a plan built under another rule is never served:
+/// 1 = exactly ProfileRuns runs; 2 = waves of ProfileWave runs until a
+/// wave after the first adds no pair, at most ProfileRuns runs.
+constexpr uint64_t ProfileRule = 2;
+} // namespace
 
 ChimeraPipeline::Analyses::Analyses(const ir::Module &M)
     : CG(M), PT(M, analysis::PointsToFlavor::Andersen), Escape(M, PT) {}
@@ -138,54 +147,75 @@ const ChimeraPipeline::ProfileOutcome &ChimeraPipeline::profile() const {
     obs::ScopedTimer T(stageCounter("profile"));
     CHIMERA_TRACE_SPAN(trace(), "pipeline.profile");
     // Each run has its own seed and core count (the paper profiles over
-    // "a variety of inputs"). Runs are independent — each owns its
-    // machine, observer, and seed — so they execute concurrently;
-    // samples merge in run-index order and the lowest failing run is
-    // reported, so the result is identical for any worker count.
-    std::vector<profile::ProfileData> Samples(Config.ProfileRuns);
-    std::vector<std::string> Faults(Config.ProfileRuns);
-    pool().parallelFor(
-        Config.ProfileRuns, [&](size_t Run) {
-          const PipelineConfig::ProfileRun Spec =
-              Config.profileRun(static_cast<unsigned>(Run));
-          profile::ConcurrencyProfiler Prof;
-          rt::MachineOptions MO;
-          MO.Mode = rt::ExecMode::Native;
-          MO.NumCores = Spec.Cores;
-          MO.Seed = Spec.Seed;
-          MO.Costs = Config.Costs;
-          // Execution-only schedule knobs (DispatchBatch, Quantum*)
-          // deliberately stay at the MachineOptions defaults here:
-          // profiling is a PLANNER input, keyed by planCacheKey, which
-          // excludes those knobs so one plan serves every run
-          // configuration. Letting them leak in makes the plan — and
-          // with it the module's weak-lock table sizes — vary with the
-          // run schedule, so a log recorded under one quantum cannot
-          // even be opened for replay under another, and a warm
-          // artifact cache can serve a plan cold compute would not
-          // produce. Found by the stress campaign's replay-perturbed
-          // oracle (tests/stress_test.cpp pins the repro).
-          MO.Observer = &Prof;
-          rt::Machine Machine(*ProfileModule, MO);
-          rt::ExecutionResult Result = Machine.run();
-          if (!Result.Ok)
-            Faults[Run] = Result.Error.empty() ? "unknown fault"
-                                               : std::move(Result.Error);
-          Samples[Run] = Prof.finish();
-        });
+    // "a variety of inputs"). Runs go in waves of ProfileWave, one per
+    // core variant. The runs of a wave are independent — each owns its
+    // machine, observer, and seed — so they execute concurrently. After
+    // a wave the lowest failing run ends the stage; otherwise its
+    // samples merge in run-index order. The stage stops after the first
+    // wave other than the first that adds no pair, or at the
+    // ProfileRuns cap. Only the samples decide, so the result is
+    // identical for any worker count.
     auto Outcome = std::make_unique<ProfileOutcome>();
-    for (unsigned Run = 0; Run != Config.ProfileRuns; ++Run) {
-      if (Faults[Run].empty())
-        continue;
-      const PipelineConfig::ProfileRun Spec = Config.profileRun(Run);
-      Outcome->Failure = support::Error::failure(
-          "profile run " + std::to_string(Run) + " (seed " +
-          std::to_string(Spec.Seed) + ", " + std::to_string(Spec.Cores) +
-          " cores) failed: " + Faults[Run]);
-      return Outcome;
+    const obs::Scope Stage =
+        obs::Scope(ObsRegistry.get(), "pipeline").sub("profile");
+    profile::ProfileData Data;
+    std::vector<profile::ProfileData> Samples(PipelineConfig::ProfileWave);
+    std::vector<std::string> Faults(PipelineConfig::ProfileWave);
+    unsigned Runs = 0;
+    for (bool Grew = true; Grew && Runs != Config.ProfileRuns;) {
+      const unsigned First = Runs;
+      const unsigned Wave =
+          std::min(PipelineConfig::ProfileWave, Config.ProfileRuns - First);
+      pool().parallelFor(Wave, [&](size_t I) {
+        const PipelineConfig::ProfileRun Spec =
+            Config.profileRun(First + static_cast<unsigned>(I));
+        profile::ConcurrencyProfiler Prof;
+        rt::MachineOptions MO;
+        MO.Mode = rt::ExecMode::Native;
+        MO.NumCores = Spec.Cores;
+        MO.Seed = Spec.Seed;
+        MO.Costs = Config.Costs;
+        // Execution-only schedule knobs (DispatchBatch, Quantum*)
+        // deliberately stay at the MachineOptions defaults here:
+        // profiling is a PLANNER input, keyed by planCacheKey, which
+        // excludes those knobs so one plan serves every run
+        // configuration. Letting them leak in makes the plan — and
+        // with it the module's weak-lock table sizes — vary with the
+        // run schedule, so a log recorded under one quantum cannot
+        // even be opened for replay under another, and a warm
+        // artifact cache can serve a plan cold compute would not
+        // produce. Found by the stress campaign's replay-perturbed
+        // oracle (tests/stress_test.cpp pins the repro).
+        MO.Observer = &Prof;
+        rt::Machine Machine(*ProfileModule, MO);
+        rt::ExecutionResult Result = Machine.run();
+        Faults[I] = Result.Ok              ? std::string()
+                    : Result.Error.empty() ? "unknown fault"
+                                           : std::move(Result.Error);
+        Samples[I] = Prof.finish();
+      });
+      Runs += Wave;
+      Stage.gauge("runs").set(Runs);
+      for (unsigned I = 0; I != Wave; ++I) {
+        if (Faults[I].empty())
+          continue;
+        const PipelineConfig::ProfileRun Spec = Config.profileRun(First + I);
+        Outcome->Failure = support::Error::failure(
+            "profile run " + std::to_string(First + I) + " (seed " +
+            std::to_string(Spec.Seed) + ", " + std::to_string(Spec.Cores) +
+            " cores) failed: " + Faults[I]);
+        return Outcome;
+      }
+      const size_t Before = Data.numPairs();
+      for (unsigned I = 0; I != Wave; ++I) {
+        Data.merge(Samples[I]);
+        Stage.sub("pairs_after_run")
+            .gauge(std::to_string(First + I))
+            .set(static_cast<int64_t>(Data.numPairs()));
+      }
+      Grew = First == 0 || Data.numPairs() != Before;
     }
-    for (const profile::ProfileData &Sample : Samples)
-      Outcome->Data.merge(Sample);
+    Outcome->Data = std::move(Data);
     return Outcome;
   });
 }
@@ -212,6 +242,7 @@ uint64_t ChimeraPipeline::planCacheKey() const {
   Hasher H;
   H.addString(ir::printModule(*EvalModule));
   H.addString(ir::printModule(*ProfileModule));
+  H.addWord(ProfileRule);
   H.addWord(Config.ProfileRuns);
   H.addWord(Config.ProfileCores);
   H.addWord(Config.ProfileSeedBase);

@@ -2,6 +2,7 @@
 
 #include "TestUtil.h"
 #include "core/Pipeline.h"
+#include "profile/Profiler.h"
 
 #include <gtest/gtest.h>
 
@@ -105,24 +106,31 @@ TEST(Pipeline, ConcurrentStageAccessComputesOnce) {
 }
 
 TEST(Pipeline, ParallelAnalysisIsDeterministic) {
-  // The tentpole guarantee: race report, profile data, and plan are
-  // byte-identical whether the analysis runs serially or on 8 workers.
-  PipelineConfig Serial = config();
-  Serial.AnalysisJobs = 1;
-  PipelineConfig Parallel = config();
-  Parallel.AnalysisJobs = 8;
+  // The determinism guarantee: race report, profile data, and plan are
+  // byte-identical whether the analysis runs serially or on 8 workers,
+  // with one wave of profile runs or with the default cap of 20 (the
+  // stop rule reads only the samples).
+  for (unsigned Runs : {4u, 20u}) {
+    PipelineConfig Serial = config();
+    Serial.ProfileRuns = Runs;
+    Serial.AnalysisJobs = 1;
+    PipelineConfig Parallel = Serial;
+    Parallel.AnalysisJobs = 8;
 
-  auto P1 = build(Serial);
-  auto P8 = build(Parallel);
-  ASSERT_NE(P1, nullptr);
-  ASSERT_NE(P8, nullptr);
+    auto P1 = build(Serial);
+    auto P8 = build(Parallel);
+    ASSERT_NE(P1, nullptr);
+    ASSERT_NE(P8, nullptr);
 
-  EXPECT_EQ(P1->raceReport().str(P1->originalModule()),
-            P8->raceReport().str(P8->originalModule()));
-  EXPECT_EQ(P1->profileData().ConcurrentPairs,
-            P8->profileData().ConcurrentPairs);
-  EXPECT_EQ(P1->plan().summary(P1->originalModule()),
-            P8->plan().summary(P8->originalModule()));
+    EXPECT_EQ(P1->raceReport().str(P1->originalModule()),
+              P8->raceReport().str(P8->originalModule()));
+    EXPECT_FALSE(P1->profileData().ConcurrentPairs.empty());
+    EXPECT_EQ(P1->profileData().ConcurrentPairs,
+              P8->profileData().ConcurrentPairs)
+        << Runs << " runs";
+    EXPECT_EQ(P1->plan().summary(P1->originalModule()),
+              P8->plan().summary(P8->originalModule()));
+  }
 }
 
 TEST(Pipeline, SetPlannerOptionsInvalidatesPlan) {
@@ -201,6 +209,79 @@ TEST(PipelineProfile, RunSequence) {
   for (unsigned Run = 0; Run != 6; ++Run) {
     EXPECT_EQ(C.profileRun(Run).Seed, C.ProfileSeedBase + Run);
     EXPECT_EQ(C.profileRun(Run).Cores, Cores[Run]);
+  }
+}
+
+namespace {
+
+/// The profile stage's metrics after it ran on \p P.
+obs::Snapshot profiled(const ChimeraPipeline &P) {
+  P.profileData();
+  auto S = P.metrics();
+  EXPECT_TRUE(S) << (S ? "" : S.error().message());
+  return S ? S.take() : obs::Snapshot();
+}
+
+} // namespace
+
+// ProfileRuns is a cap: the stage stops after the second wave of four
+// when it adds no pair, and otherwise runs up to the cap, a partial
+// last wave included.
+TEST(PipelineProfile, RunsAreCappedWaves) {
+  for (auto [Cap, Runs] : {std::pair{3u, 3}, {4u, 4}, {6u, 6}, {20u, 8}}) {
+    PipelineConfig C = config();
+    C.ProfileRuns = Cap;
+    C.Observability = obs::ObsMode::Sampled;
+    auto P = build(C);
+    ASSERT_NE(P, nullptr);
+    obs::Snapshot S = profiled(*P);
+    EXPECT_EQ(S.value("pipeline.profile.runs"), Runs) << "cap " << Cap;
+    const int64_t Pairs =
+        static_cast<int64_t>(P->profileData().numPairs());
+    EXPECT_GT(Pairs, 0);
+    EXPECT_EQ(S.value("pipeline.profile.pairs_after_run." +
+                      std::to_string(Runs - 1)),
+              Pairs);
+    EXPECT_EQ(S.find("pipeline.profile.pairs_after_run." +
+                     std::to_string(Runs)),
+              nullptr);
+  }
+}
+
+// Every workload's pair set saturates in the first wave, so the stage
+// stops after eight runs with the pairs all twenty runs of the run
+// sequence observe.
+TEST(PipelineProfile, NineWorkloadsStopAfterTwoWaves) {
+  using namespace workloads;
+  for (WorkloadKind K : allWorkloads()) {
+    PipelineConfig Base;
+    Base.Observability = obs::ObsMode::Sampled;
+    core::PipelineRequest Request = pipelineRequest(K, 4, Base);
+    auto Built = ChimeraPipeline::create(Request);
+    ASSERT_TRUE(Built) << Built.error().message();
+    const ChimeraPipeline &P = **Built;
+    EXPECT_EQ(profiled(P).value("pipeline.profile.runs"), 8)
+        << workloadInfo(K).Name;
+
+    auto M = test::compileOrNull(Request.Profile, workloadInfo(K).Name);
+    ASSERT_NE(M, nullptr);
+    profile::ProfileData All;
+    for (unsigned Run = 0; Run != Request.Config.ProfileRuns; ++Run) {
+      const PipelineConfig::ProfileRun Spec = Request.Config.profileRun(Run);
+      profile::ConcurrencyProfiler Prof;
+      rt::MachineOptions MO;
+      MO.Mode = rt::ExecMode::Native;
+      MO.NumCores = Spec.Cores;
+      MO.Seed = Spec.Seed;
+      MO.Costs = Request.Config.Costs;
+      MO.Observer = &Prof;
+      rt::ExecutionResult R = rt::Machine(*M, MO).run();
+      ASSERT_TRUE(R.Ok) << workloadInfo(K).Name << " run " << Run << ": "
+                        << R.Error;
+      All.merge(Prof.finish());
+    }
+    EXPECT_EQ(P.profileData().ConcurrentPairs, All.ConcurrentPairs)
+        << workloadInfo(K).Name;
   }
 }
 

@@ -211,6 +211,20 @@ TEST(ArtifactCacheTest, WarmStartIsByteIdenticalToRecompute) {
   EXPECT_EQ(Warm.serialize(), Image);
 }
 
+// The plan key folds in the profile stage's run rule. A plan stored
+// when the stage made exactly ProfileRuns runs (the key below, of this
+// request's plan under that rule) is never served now that it stops
+// once the pair set saturates.
+TEST(ArtifactCacheTest, PlanKeyCoversTheProfileRule) {
+  const uint64_t FixedRunsKey = 0xf32f5027b1bb6965ull;
+  ArtifactCache Cache;
+  auto P = populate(Cache);
+  ASSERT_NE(P, nullptr);
+  const auto Entries = entriesOf(Cache);
+  ASSERT_EQ(Entries.size(), 1u);
+  EXPECT_NE(Entries.begin()->first.second, FixedRunsKey);
+}
+
 TEST(ArtifactCacheTest, RetiredSummaryEntriesAreSkippedOnLoad) {
   // An image from a build that still cached RELAY summaries: a kind-1
   // entry (an empty summary in that encoding) ahead of the plan.
